@@ -13,8 +13,8 @@ Two claims back this file:
   cluster totals equal serial's before any timing is trusted; a faster
   wrong answer fails the bench.
 
-The dense grid mirrors ``bench_procpool_sweep.py`` so the two backends'
-trajectories stay directly comparable in the snapshot series.
+The dense grid (21 access sizes x 12 thread counts) is wide enough that
+worker startup does not drown the signal being measured.
 """
 
 from __future__ import annotations
@@ -26,10 +26,9 @@ import pytest
 
 from repro.memsim import Op
 from repro.sweep import EvaluationService, SweepRunner
+from repro.sweep.cluster import ClusterOptions, set_default_cluster_options
 from repro.workloads.sequential import sequential_sweep
 
-#: Same dense axes as the procpool bench: wide enough that worker
-#: startup does not drown the signal being measured.
 _DENSE_SIZES = tuple(64 << i for i in range(21))
 _DENSE_THREADS = tuple(range(1, 37, 3))
 
@@ -51,9 +50,13 @@ def _serial_totals(grid) -> dict[str, float]:
 
 
 def _cluster_totals(grid, workers: int) -> dict[str, float]:
-    return SweepRunner(
-        EvaluationService(memoize=False), jobs=workers, backend="cluster"
-    ).totals(grid)
+    previous = set_default_cluster_options(ClusterOptions(workers=workers))
+    try:
+        return SweepRunner(
+            EvaluationService(memoize=False), backend="cluster"
+        ).totals(grid)
+    finally:
+        set_default_cluster_options(previous)
 
 
 def test_cluster_speedup_over_serial():

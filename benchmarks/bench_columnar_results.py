@@ -10,8 +10,9 @@ time the three legs that claim rides on, on the shared Figure 3 grid:
 * the v2 disk-cache round trip — one content-addressed block write for
   the whole grid, then per-digest ``get_ref`` lookups resolving into
   the shared in-memory block;
-* the pickle boundary — the cost :mod:`repro.sweep.procpool` pays to
-  ship a chunk's results back to the parent as one column block.
+* the pickle boundary — the cost a :mod:`repro.sweep.cluster` worker
+  pays to ship a chunk's results back to the coordinator as one column
+  block.
 
 Each bench asserts the columnar values against the materialized views
 (same floats), so the smoke run doubles as an identity check.
@@ -66,7 +67,7 @@ def test_disk_cache_block_round_trip(benchmark, fig3_grid, tmp_path):
 
 
 def test_column_block_pickle_boundary(benchmark, fig3_grid):
-    """Ship a grid's results across the procpool boundary and back."""
+    """Ship a grid's results across the cluster wire boundary and back."""
     _, columns = _columns_for(fig3_grid)
 
     def ship() -> ResultColumns:

@@ -48,7 +48,7 @@ DEFAULT_PURITY_ROOTS: tuple[str, ...] = (
     "repro.memsim.context._build_context",
 )
 
-#: Types that cross the :mod:`repro.sweep.procpool` process boundary
+#: Types that cross the :mod:`repro.sweep.cluster` wire boundary
 #: (pickled into workers or back): SIM202 checks them — and every type
 #: reachable through their field annotations — for pickle-hostile state.
 DEFAULT_PICKLE_BOUNDARY: tuple[str, ...] = (

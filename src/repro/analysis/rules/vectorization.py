@@ -60,18 +60,15 @@ POINT_MATERIALIZATION = Rule(
 #: assignment target receives the batch: ``None`` for a plain
 #: ``batch = producer(...)``, else the tuple-unpack index of the batch
 #: (``evaluate_batch_columns`` returns ``(columns, emit)``;
-#: ``run_columns``/``run_grid_columns``/``_vector_columns`` return
-#: ``(labels, columns)``).
+#: ``run_columns``/``run_grid_columns`` return ``(labels, columns)``).
 _BATCH_PRODUCERS: dict[str, int | None] = {
     "ResultColumns": None,
     "from_results": None,
-    "assemble": None,
     "evaluate_grid_columns": None,
     "evaluate_batch_columns": 0,
     "evaluate_points_columns": 0,
     "run_columns": -1,
     "run_grid_columns": -1,
-    "_vector_columns": -1,
 }
 
 #: Heads recognised as the NumPy module in dotted call targets.

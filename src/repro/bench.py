@@ -9,7 +9,7 @@ kink in the series rather than an anecdote.
 
 The payload (schema :data:`SCHEMA`) deliberately keeps only what the
 trajectory needs — per-bench wall-time statistics, the sweep-cache
-counters, and the run configuration (backend, jobs, warmup, rounds) —
+counters, and the run configuration (smoke, warmup, rounds) —
 instead of pytest-benchmark's full machine dump, so snapshots diff
 cleanly and stay a few KB.
 
@@ -22,21 +22,19 @@ from __future__ import annotations
 
 import datetime
 import json
-import os
 import tempfile
 from pathlib import Path
 
 from repro.errors import BenchError
 
 #: Canonical payload schema identifier.
-SCHEMA = "repro.bench/1"
+SCHEMA = "repro.bench/2"
 
 #: The ``--smoke`` subset: fast benches covering the sweep service, the
-#: process-pool/EvalContext layer, the columnar result path, and the
+#: cluster backend, the columnar result path, the serving layer, and the
 #: per-family vector kernel grids this harness exists to track.
 SMOKE_BENCHES = (
     "bench_sweep_service.py",
-    "bench_procpool_sweep.py",
     "bench_cluster_sweep.py",
     "bench_columnar_results.py",
     "bench_serving.py",
@@ -108,8 +106,6 @@ def _utc_timestamp() -> str:
 def _distill(
     raw: dict[str, object],
     *,
-    jobs: int,
-    backend: str,
     smoke: bool,
     warmup: bool,
     rounds: int,
@@ -139,8 +135,6 @@ def _distill(
         "schema": SCHEMA,
         "created": created,
         "config": {
-            "jobs": int(jobs),
-            "backend": str(backend),
             "smoke": bool(smoke),
             "warmup": bool(warmup),
             "rounds": int(rounds),
@@ -165,10 +159,7 @@ def validate_payload(payload: dict[str, object]) -> None:
     config = payload.get("config")
     if not isinstance(config, dict):
         fail("'config' must be an object")
-    for key, kind in (
-        ("jobs", int), ("backend", str), ("smoke", bool),
-        ("warmup", bool), ("rounds", int),
-    ):
+    for key, kind in (("smoke", bool), ("warmup", bool), ("rounds", int)):
         if not isinstance(config.get(key), kind):
             fail(f"config[{key!r}] must be {kind.__name__}")
     stats = payload.get("cache_stats")
@@ -200,18 +191,14 @@ def run_benchmarks(
     smoke: bool = False,
     warmup: bool = True,
     rounds: int = 3,
-    jobs: int = 1,
-    backend: str = "thread",
     directory: Path | None = None,
 ) -> dict[str, object]:
     """Run the selected benches; return the canonical payload.
 
     ``warmup``/``rounds`` control pytest-benchmark's repetition
-    (``rounds`` maps to its minimum round count). ``jobs``/``backend``
-    are recorded in the payload and exported as ``REPRO_BENCH_JOBS`` /
-    ``REPRO_BENCH_BACKEND`` so parameterised benches can honour them.
-    The shared default service is swapped for a fresh one around the run
-    so ``cache_stats`` reflects this run alone.
+    (``rounds`` maps to its minimum round count). The shared default
+    service is swapped for a fresh one around the run so
+    ``cache_stats`` reflects this run alone.
     """
     import pytest
 
@@ -225,12 +212,6 @@ def run_benchmarks(
         rounds = 1
     created = _utc_timestamp()
     previous = set_default_service(EvaluationService())
-    previous_env = {
-        key: os.environ.get(key)
-        for key in ("REPRO_BENCH_JOBS", "REPRO_BENCH_BACKEND")
-    }
-    os.environ["REPRO_BENCH_JOBS"] = str(jobs)
-    os.environ["REPRO_BENCH_BACKEND"] = backend
     try:
         with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
             raw_path = Path(tmp) / "raw.json"
@@ -257,15 +238,8 @@ def run_benchmarks(
         }
     finally:
         set_default_service(previous)
-        for key, value in previous_env.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
     payload = _distill(
         raw,
-        jobs=jobs,
-        backend=backend,
         smoke=smoke,
         warmup=warmup,
         rounds=rounds,

@@ -73,22 +73,19 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run experiments by id")
     run.add_argument("experiments", nargs="+", metavar="EXP",
                      help="experiment ids, e.g. fig7 table1")
-    run.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
-                     help="evaluate sweep points on N workers (default 1; "
-                          "results are bit-identical to serial runs)")
-    run.add_argument("--backend",
-                     choices=("serial", "thread", "process", "vector", "cluster"),
+    # The names of repro.sweep.BACKENDS, spelled out so that parsing
+    # arguments does not import the sweep layer.
+    run.add_argument("--backend", choices=("serial", "vector", "cluster"),
                      default="vector",
-                     help="sweep worker pool: 'vector' (default) batches "
+                     help="sweep backend: 'vector' (default) batches "
                           "eligible points through the NumPy kernels and "
-                          "keeps results columnar, 'thread' shares the "
-                          "memo cache, 'process' scales cold grids across "
-                          "cores, 'cluster' shards across worker processes "
-                          "with a shared cache and work-stealing, 'serial' "
-                          "forces inline evaluation (all bit-identical)")
+                          "keeps results columnar, 'cluster' shards across "
+                          "worker processes with a shared cache and "
+                          "work-stealing, 'serial' evaluates point at a "
+                          "time (all bit-identical)")
     run.add_argument("--workers", type=_positive_int, default=None, metavar="N",
                      help="with --backend cluster: local worker processes "
-                          "to spawn (default 2, or --jobs when > 1)")
+                          "to spawn (default 2)")
     run.add_argument("--connect", action="append", metavar="HOST:PORT",
                      default=None,
                      help="with --backend cluster: dial a standing 'repro "
@@ -169,7 +166,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument("benches", nargs="*", metavar="BENCH",
                        help="bench names or substrings, e.g. fig03 "
-                            "procpool (default: the whole suite)")
+                            "cluster (default: the whole suite)")
     bench.add_argument("--smoke", action="store_true",
                        help="run the pinned fast subset with one round and "
                             "no warmup (seconds, not minutes)")
@@ -177,14 +174,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="skip pytest-benchmark's warmup phase")
     bench.add_argument("--rounds", type=_positive_int, default=3, metavar="N",
                        help="minimum timing rounds per bench (default 3)")
-    bench.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
-                       help="worker count recorded in the snapshot and "
-                            "exported to parameterised benches")
-    bench.add_argument("--backend",
-                       choices=("serial", "thread", "process", "vector", "cluster"),
-                       default="thread",
-                       help="sweep backend recorded in the snapshot and "
-                            "exported to parameterised benches")
     bench.add_argument("-o", "--output", metavar="PATH", default=None,
                        help="output file or directory (default: "
                             "./BENCH_<timestamp>.json)")
@@ -240,7 +229,6 @@ def _cmd_list() -> int:
 
 def _cmd_run(
     experiment_ids: Sequence[str],
-    jobs: int = 1,
     backend: str = "vector",
     cache_dir: str | None = None,
     metrics: bool = False,
@@ -290,7 +278,7 @@ def _cmd_run(
     try:
         with scope:
             for exp_id in experiment_ids:
-                print(run_experiment(exp_id, jobs=jobs, backend=backend).render())
+                print(run_experiment(exp_id, backend=backend).render())
                 print()
         print(default_service().stats.describe())
     finally:
@@ -464,8 +452,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             smoke=args.smoke,
             warmup=not args.no_warmup,
             rounds=args.rounds,
-            jobs=args.jobs,
-            backend=args.backend,
         )
     except BenchError as exc:
         print(f"bench: {exc}", file=sys.stderr)
@@ -569,7 +555,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "run":
         return _cmd_run(
             args.experiments,
-            jobs=args.jobs,
             backend=args.backend,
             cache_dir=args.cache_dir,
             metrics=args.metrics,

@@ -41,8 +41,8 @@ class SweepError(SimulationError):
     """A sweep point failed to evaluate.
 
     Wraps the underlying exception (available as ``__cause__``) and
-    names the failing grid and point label — a thread pool's traceback
-    alone would not say *which* of a few hundred points was poisoned.
+    names the failing grid and point label — a worker's traceback alone
+    would not say *which* of a few hundred points was poisoned.
     """
 
 
@@ -78,7 +78,7 @@ class GridPointError(SweepError):
     ``partial`` preserves the ``ResultColumns`` batch of every point
     that completed before the failure (in ``points`` order), so callers
     paying for a long sweep keep what was already computed. It crosses
-    the process-pool pickle boundary with the exception.
+    the cluster wire (pickle) boundary with the exception.
     """
 
     def __init__(
@@ -110,7 +110,7 @@ class GridPointError(SweepError):
         # The default exception reduce replays ``__init__(*args)`` with
         # the stored ``args`` — the formatted message string — which
         # does not match this signature. Rebuild from the real fields so
-        # the error survives the process-pool boundary intact.
+        # the error survives the cluster wire boundary intact.
         return (
             _rebuild_grid_point_error,
             (self.index, self.original, self.label, self.grid, self.partial),

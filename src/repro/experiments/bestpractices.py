@@ -15,7 +15,6 @@ from repro.memsim import BandwidthModel
 
 def run(
     model: BandwidthModel | None = None,
-    jobs: int = 1,
     backend: str = "vector",
 ) -> ExperimentResult:
     model = model_or_default(model)

@@ -26,7 +26,6 @@ def evaluate_grid(
     grid: SweepGrid,
     *,
     directory: DirectoryState | None = None,
-    jobs: int = 1,
     backend: str = "vector",
 ) -> dict[str, float]:
     """Evaluate every sweep point; returns {label: total GB/s}.
@@ -38,12 +37,12 @@ def evaluate_grid(
     pass their own state values. The default ``"vector"`` backend keeps
     results columnar end-to-end — the totals are read straight off the
     batch, no per-point result object exists anywhere — and is
-    bit-identical to the per-point backends; ``jobs``/``backend`` fan
-    points out across a thread or process pool instead.
+    bit-identical to the ``"serial"`` oracle and to ``"cluster"``, which
+    ``backend`` selects instead.
     """
     if directory is None:
         directory = DirectoryState.warm(model.topology)
-    runner = SweepRunner(model.service, jobs=jobs, backend=backend)
+    runner = SweepRunner(model.service, backend=backend)
     return runner.totals(grid, config=model.config, directory=directory)
 
 

@@ -17,7 +17,6 @@ from repro.workloads import sequential_sweep
 
 def run(
     model: BandwidthModel | None = None,
-    jobs: int = 1,
     backend: str = "vector",
 ) -> ExperimentResult:
     model = model_or_default(model)
@@ -27,7 +26,7 @@ def run(
     )
     for layout, panel in ((Layout.GROUPED, "a-grouped"), (Layout.INDIVIDUAL, "b-individual")):
         grid = sequential_sweep(Op.READ, layout=layout)
-        values = evaluate_grid(model, grid, jobs=jobs, backend=backend)
+        values = evaluate_grid(model, grid, backend=backend)
         for threads, curve in curves_by(values, grid, "threads", "access_size").items():
             result.add_series(f"{panel}/{threads}T", curve)
 

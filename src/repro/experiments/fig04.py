@@ -15,12 +15,11 @@ from repro.workloads import pinning_sweep
 
 def run(
     model: BandwidthModel | None = None,
-    jobs: int = 1,
     backend: str = "vector",
 ) -> ExperimentResult:
     model = model_or_default(model)
     grid = pinning_sweep(Op.READ)
-    values = evaluate_grid(model, grid, jobs=jobs, backend=backend)
+    values = evaluate_grid(model, grid, backend=backend)
     result = ExperimentResult(
         exp_id="fig4", title="Read bandwidth dependent on thread pinning"
     )

@@ -24,7 +24,6 @@ THREADS = (1, 4, 8, 18, 24, 36)
 
 def run(
     model: BandwidthModel | None = None,
-    jobs: int = 1,
     backend: str = "vector",
 ) -> ExperimentResult:
     model = model_or_default(model)

@@ -23,7 +23,6 @@ from repro.workloads import MULTISOCKET_READ_LABELS, multisocket_read_scenarios
 
 def run(
     model: BandwidthModel | None = None,
-    jobs: int = 1,
     backend: str = "vector",
 ) -> ExperimentResult:
     model = model_or_default(model)
@@ -32,7 +31,7 @@ def run(
     )
     for media, panel in ((MediaKind.PMEM, "a-pmem"), (MediaKind.DRAM, "b-dram")):
         grid = multisocket_read_scenarios(media=media)
-        values = evaluate_grid(model, grid, jobs=jobs, backend=backend)
+        values = evaluate_grid(model, grid, backend=backend)
         for label in MULTISOCKET_READ_LABELS:
             curve = {
                 str(point.params["threads"]): values[point.label]

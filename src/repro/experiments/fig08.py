@@ -36,7 +36,6 @@ def boomerang_cells(rows: dict[str, dict[str, float]], threshold: float = 10.0):
 
 def run(
     model: BandwidthModel | None = None,
-    jobs: int = 1,
     backend: str = "vector",
 ) -> ExperimentResult:
     model = model_or_default(model)

@@ -16,12 +16,11 @@ from repro.workloads import MULTISOCKET_WRITE_LABELS, multisocket_write_scenario
 
 def run(
     model: BandwidthModel | None = None,
-    jobs: int = 1,
     backend: str = "vector",
 ) -> ExperimentResult:
     model = model_or_default(model)
     grid = multisocket_write_scenarios()
-    values = evaluate_grid(model, grid, jobs=jobs, backend=backend)
+    values = evaluate_grid(model, grid, backend=backend)
     result = ExperimentResult(exp_id="fig10", title="Writing data to multiple sockets")
     for label in MULTISOCKET_WRITE_LABELS:
         curve = {

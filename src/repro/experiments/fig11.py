@@ -16,7 +16,6 @@ from repro.workloads.mixed import PAPER_READ_COUNTS, PAPER_WRITE_COUNTS
 
 def run(
     model: BandwidthModel | None = None,
-    jobs: int = 1,
     backend: str = "vector",
 ) -> ExperimentResult:
     model = model_or_default(model)

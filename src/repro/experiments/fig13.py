@@ -16,14 +16,13 @@ from repro.workloads import random_sweep
 
 def run(
     model: BandwidthModel | None = None,
-    jobs: int = 1,
     backend: str = "vector",
 ) -> ExperimentResult:
     model = model_or_default(model)
     result = ExperimentResult(exp_id="fig13", title="Random write bandwidth (PMEM/DRAM)")
     for media, panel in ((MediaKind.PMEM, "a-pmem"), (MediaKind.DRAM, "b-dram")):
         grid = random_sweep(Op.WRITE, media=media)
-        values = evaluate_grid(model, grid, jobs=jobs, backend=backend)
+        values = evaluate_grid(model, grid, backend=backend)
         for threads, curve in curves_by(values, grid, "threads", "access_size").items():
             result.add_series(f"{panel}/{threads}T", curve)
 

@@ -16,7 +16,6 @@ from repro.ssb.runner import SsbRunner, average_slowdown
 def run(
     model: BandwidthModel | None = None,
     runner: SsbRunner | None = None,
-    jobs: int = 1,
     backend: str = "vector",
 ) -> ExperimentResult:
     runner = runner if runner is not None else SsbRunner(model=model)

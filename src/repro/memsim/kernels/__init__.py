@@ -20,8 +20,8 @@ Two kernels, two contracts:
 
 :class:`ResultColumns` itself is imported eagerly (it is pure stdlib);
 the kernels are resolved lazily via :pep:`562` so that consumers which
-only ship or store column blocks — the sweep cache, the process-pool
-boundary — never pull NumPy onto their import path.
+only ship or store column blocks — the sweep cache, the cluster wire —
+never pull NumPy onto their import path.
 """
 
 from __future__ import annotations

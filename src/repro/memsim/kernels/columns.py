@@ -23,17 +23,17 @@ the sweep service assembles output batches from cached blocks and fresh
 kernel batches without copying row contents. The view cache itself is
 *never* shared between batches (views hold a mutable
 :class:`~repro.memsim.counters.PerfCounters` a caller may annotate) and
-is dropped on pickling, so column blocks cross the process-pool and
+is dropped on pickling, so column blocks cross the cluster wire and
 disk-cache boundaries as pure data.
 
 This module deliberately imports no NumPy: consumers that only ship or
-store column blocks (the sweep cache, the process pool) stay off the
+store column blocks (the sweep cache, the cluster wire) stay off the
 kernel import path.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 from repro.memsim.counters import PerfCounters
 from repro.memsim.evaluation import BandwidthResult, StreamResult
@@ -311,16 +311,3 @@ class ResultColumns:
             setattr(self, name, value)
         self._views = [None] * (len(self.offsets) - 1)
 
-
-def assemble(
-    batches: Sequence[ResultColumns],
-) -> ResultColumns:
-    """Concatenate batches in order into one :class:`ResultColumns`.
-
-    Used by the process-pool backend to fold per-chunk column blocks
-    back into grid order without materializing a single view.
-    """
-    out = ResultColumns()
-    for batch in batches:
-        out.extend(batch)
-    return out

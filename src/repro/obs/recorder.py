@@ -210,8 +210,8 @@ class CountersRecorder:
 
         Exact for everything a snapshot carries: counters and event/span
         tallies add; histograms merge their count/total/min/max monoids
-        (:meth:`HistogramSummary.merge`). The process-pool sweep backend
-        uses this to account worker-side emissions in the parent — the
+        (:meth:`HistogramSummary.merge`). The cluster sweep backend uses
+        this to account worker-side emissions in the parent — the
         merged state equals what a single shared recorder would have
         accumulated, up to float addition order across workers.
         """

@@ -17,8 +17,7 @@ write instead of hundreds of entry writes — the access-granularity
 lesson of the source paper applied to the cache's own I/O. Both caches
 store *references* into shared column batches wherever a batch exists;
 per-point :class:`BandwidthResult` objects are materialized lazily as
-views on delivery. Legacy v1 per-point entries are never read (a miss)
-and are retired as their digests are rewritten into blocks.
+views on delivery. Entries of any other schema read as a miss.
 """
 
 from __future__ import annotations
@@ -41,8 +40,7 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 from repro.errors import ConfigurationError, SchemaError
 from repro.memsim.address import DaxMode
 from repro.memsim.config import DirectoryState, MachineConfig
-from repro.memsim.counters import PerfCounters
-from repro.memsim.evaluation import BandwidthResult, StreamResult
+from repro.memsim.evaluation import BandwidthResult
 from repro.memsim.kernels import COUNTER_COLUMNS, ResultColumns
 from repro.memsim.scheduler import PinningPolicy
 from repro.memsim.spec import Layout, Op, Pattern, StreamSpec
@@ -150,27 +148,6 @@ def request_digest(
     return hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
 
 
-def result_to_payload(result: BandwidthResult) -> dict[str, object]:
-    """JSON-ready form of a :class:`BandwidthResult` (floats exact)."""
-    return {
-        "streams": [
-            {
-                "spec": dataclasses.asdict(s.spec),
-                "gbps": s.gbps,
-                "solo_gbps": s.solo_gbps,
-                "notes": list(s.notes),
-            }
-            for s in result.streams
-        ],
-        "counters": dataclasses.asdict(result.counters),
-        "directory_after": (
-            None
-            if result.directory_after is None
-            else sorted(result.directory_after.warm_pairs)
-        ),
-    }
-
-
 def _spec_from_payload(payload: dict[str, object]) -> StreamSpec:
     return StreamSpec(
         op=Op(payload["op"]),
@@ -186,33 +163,6 @@ def _spec_from_payload(payload: dict[str, object]) -> StreamSpec:
         total_bytes=int(payload["total_bytes"]),  # type: ignore[arg-type]
         dax_mode=DaxMode(payload["dax_mode"]),
         prefaulted=bool(payload["prefaulted"]),
-    )
-
-
-def result_from_payload(payload: dict[str, object]) -> BandwidthResult:
-    """Inverse of :func:`result_to_payload`."""
-    streams = tuple(
-        StreamResult(
-            spec=_spec_from_payload(entry["spec"]),
-            gbps=entry["gbps"],
-            solo_gbps=entry["solo_gbps"],
-            notes=tuple(entry["notes"]),
-        )
-        for entry in payload["streams"]  # type: ignore[union-attr]
-    )
-    counters_payload = dict(payload["counters"])  # type: ignore[arg-type]
-    counters_payload["notes"] = list(counters_payload.get("notes", []))
-    directory_after = payload.get("directory_after")
-    return BandwidthResult(
-        streams=streams,
-        counters=PerfCounters(**counters_payload),
-        directory_after=(
-            None
-            if directory_after is None
-            else DirectoryState(frozenset(
-                (pair[0], pair[1]) for pair in directory_after  # type: ignore[union-attr]
-            ))
-        ),
     )
 
 
@@ -322,8 +272,7 @@ class DiskCache:
 
     Entries written by a previous process are picked up transparently,
     which is what makes ``repro run --cache-dir`` useful across
-    invocations. Corrupt, truncated, or legacy (v1 per-point, stored at
-    ``<root>/<digest[:2]>/<digest>.json`` — never read) entries are
+    invocations. Corrupt, truncated, or wrong-schema entries are
     treated as misses; recomputing rewrites them as column blocks.
 
     Loaded blocks are kept in memory so a sweep resolving hundreds of
@@ -350,14 +299,11 @@ class DiskCache:
     def _index_path(self, digest: str) -> Path:
         return self.root / "index" / f"{digest[:2]}.json"
 
-    def _legacy_path(self, digest: str) -> Path:
-        return self.root / digest[:2] / f"{digest}.json"
-
     @contextlib.contextmanager
     def _shard_lock(self, prefix: str) -> Iterator[None]:
         """Exclusive advisory lock for one index shard's read-merge-write.
 
-        Shards are shared files: without the lock, two pool workers
+        Shards are shared files: without the lock, two cluster workers
         merging the same shard concurrently would each read the old
         shard and the last writer would silently drop the other's new
         entries (a lost update, surfacing as warm-run cache misses).
@@ -494,13 +440,3 @@ class DiskCache:
                     encoding="utf-8",
                 )
                 tmp.replace(path)
-        for digest in digests:
-            # Retire any v1 per-point entry this digest used to live in
-            # (missing_ok: a racing process may have removed it already).
-            legacy = self._legacy_path(digest)
-            try:
-                legacy.unlink(missing_ok=True)
-            except OSError as exc:  # pragma: no cover - permissions only
-                raise ConfigurationError(
-                    f"could not retire legacy cache entry {legacy}: {exc}"
-                ) from exc

@@ -12,13 +12,13 @@ bit-identical to serial. The package splits along the wire:
   the content-addressed shared cache tier.
 * :mod:`~repro.sweep.cluster.worker` — per-connection evaluation through
   a worker-local :class:`~repro.sweep.service.EvaluationService`.
-* :mod:`~repro.sweep.cluster.backend` — the synchronous entry points the
+* :mod:`~repro.sweep.cluster.backend` — the synchronous entry point the
   runner dispatches to.
 * :mod:`~repro.sweep.cluster.config` — :class:`ClusterOptions` and the
   process-wide default the CLI installs.
 """
 
-from repro.sweep.cluster.backend import run_grid, run_grid_columns
+from repro.sweep.cluster.backend import run_grid_columns
 from repro.sweep.cluster.config import (
     ClusterOptions,
     default_cluster_options,
@@ -36,7 +36,6 @@ __all__ = [
     "connect_worker",
     "default_cluster_options",
     "parse_endpoint",
-    "run_grid",
     "run_grid_columns",
     "serve_worker",
     "set_default_cluster_options",

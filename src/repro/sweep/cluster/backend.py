@@ -1,10 +1,10 @@
-"""Synchronous entry points for ``backend="cluster"`` sweeps.
+"""Synchronous entry point for ``backend="cluster"`` sweeps.
 
-:func:`run_grid_columns` mirrors :func:`repro.sweep.procpool.run_grid_columns`
-— same signature shape, same bit-identical contract — but fans the grid
-out across *cluster workers*: either local worker processes spawned
-around the coordinator, or standing ``repro worker`` peers named by
-:attr:`~repro.sweep.cluster.config.ClusterOptions.connect`.
+:func:`run_grid_columns` fans a grid out across *cluster workers* —
+either local worker processes spawned around the coordinator, or
+standing ``repro worker`` peers named by
+:attr:`~repro.sweep.cluster.config.ClusterOptions.connect` — and returns
+one column batch, bit-identical to the serial backend.
 
 Local-spawn choreography matters: the listening socket is bound (port 0)
 **before** forking, so the child processes are handed a concrete
@@ -20,7 +20,6 @@ import multiprocessing
 import socket
 
 from repro.memsim.config import DirectoryState, MachineConfig
-from repro.memsim.evaluation import BandwidthResult
 from repro.memsim.kernels import ResultColumns
 from repro.obs import Recorder, set_default_recorder
 from repro.sweep.cluster.config import ClusterOptions, default_cluster_options
@@ -28,16 +27,16 @@ from repro.sweep.cluster.coordinator import Coordinator
 from repro.sweep.service import EvaluationService
 from repro.workloads.grids import SweepGrid, SweepPoint
 
-__all__ = ["run_grid", "run_grid_columns"]
+__all__ = ["run_grid_columns"]
 
 
 def _local_worker_main(host: str, port: int) -> None:
     """Entry point of a spawned local worker process.
 
-    Module-level so it pickles under the ``spawn`` start method. The
-    default recorder is silenced exactly as the process pool does: the
-    worker ships explicit per-item snapshots instead, so anything it
-    recorded ambiently would double-count after the merge.
+    Module-level so it pickles under the ``spawn`` start method. A
+    forked child inherits the parent's default recorder, so it is
+    silenced: the worker ships explicit per-item snapshots instead, and
+    anything it recorded ambiently would double-count after the merge.
     """
     set_default_recorder(None)
     from repro.sweep.cluster.worker import connect_worker
@@ -104,7 +103,6 @@ def run_grid_columns(
     *,
     config: MachineConfig,
     directory: DirectoryState,
-    jobs: int,
     service: EvaluationService,
     recorder: Recorder,
     options: ClusterOptions | None = None,
@@ -114,21 +112,18 @@ def run_grid_columns(
     Bit-identical to serial: the coordinator assembles returned column
     rows by global grid index, so chunking, stealing, and requeueing
     cannot reorder or alter anything. Counters and cache statistics fold
-    into ``recorder``/``service.stats`` as the process pool's do, plus
-    the ``cluster.*`` counters for the cluster mechanics themselves.
+    into ``recorder``/``service.stats`` exactly as a local sweep's would,
+    plus the ``cluster.*`` counters for the cluster mechanics themselves.
 
-    ``jobs`` (when > 1) overrides ``options.workers`` for the local
-    worker count; with ``options.connect`` set, exactly those standing
-    peers are used instead and nothing is spawned.
+    ``options.workers`` local workers are spawned; with
+    ``options.connect`` set, exactly those standing peers are used
+    instead and nothing is spawned.
     """
     if options is None:
         options = default_cluster_options()
     if not points:
         return [], ResultColumns()
-    if options.connect:
-        workers = len(options.connect)
-    else:
-        workers = jobs if jobs > 1 else options.workers
+    workers = len(options.connect) if options.connect else options.workers
     return asyncio.run(
         _run_cluster(
             grid,
@@ -141,33 +136,3 @@ def run_grid_columns(
             options=options,
         )
     )
-
-
-def run_grid(
-    grid: SweepGrid,
-    points: list[SweepPoint],
-    *,
-    config: MachineConfig,
-    directory: DirectoryState,
-    jobs: int,
-    service: EvaluationService,
-    recorder: Recorder,
-    options: ClusterOptions | None = None,
-) -> dict[str, BandwidthResult]:
-    """Object-dict variant of :func:`run_grid_columns`, in grid order.
-
-    The cluster always moves column blocks over the wire; per-point
-    result objects are materialized (as lazy views) only here at the API
-    boundary, exactly like the vector backend's ``run`` path.
-    """
-    labels, columns = run_grid_columns(
-        grid,
-        points,
-        config=config,
-        directory=directory,
-        jobs=jobs,
-        service=service,
-        recorder=recorder,
-        options=options,
-    )
-    return dict(zip(labels, columns.views()))

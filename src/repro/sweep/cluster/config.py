@@ -21,8 +21,8 @@ __all__ = [
     "set_default_cluster_options",
 ]
 
-#: Target chunks per worker for the initial content-hash sharding; the
-#: same load/amortisation balance the process pool uses.
+#: Target chunks per worker for the initial content-hash sharding: more
+#: chunks balance load, fewer amortise shipping.
 CHUNKS_PER_WORKER = 4
 
 

@@ -31,8 +31,8 @@ every other worker (``cache_get``), with the same digests the local
 tiers key by — which is why hit/miss accounting carries over unchanged
 (see DESIGN.md §7).
 
-Counters and cache statistics fold into the parent exactly as the
-process pool's do: per-item snapshots are buffered and merged **in grid
+Counters and cache statistics fold into the parent exactly as a local
+sweep's would: per-item snapshots are buffered and merged **in grid
 order** at the end (:func:`repro.obs.merge_snapshot`), stats deltas sum
 as they arrive, and the coordinator emits the ``cluster.*`` counters for
 its own mechanics.
@@ -41,6 +41,7 @@ its own mechanics.
 from __future__ import annotations
 
 import asyncio
+import pickle
 import time
 from collections import deque
 from typing import Awaitable, Callable, Sequence
@@ -250,8 +251,8 @@ class Coordinator:
             await self._server.wait_closed()
         if self._fatal is not None:
             raise self._fatal  # simlint: ignore[foreign-raise] -- _fatal is only ever a SweepError
-        # Counters merge in grid order — deterministic for a given
-        # partitioning, exactly like procpool's submission-order merge.
+        # Counters merge in grid order, so the merged snapshot is
+        # deterministic for a given partitioning.
         if self._observing:
             for _, snapshot in sorted(self._snapshots, key=lambda item: item[0]):
                 merge_snapshot(self._recorder, snapshot)
@@ -396,6 +397,19 @@ class Coordinator:
     # ------------------------------------------------------------------
 
     async def _ship(self, link: _Link, indices: list[int]) -> None:
+        try:
+            points = protocol.encode_blob(tuple(self._points[i] for i in indices))
+        except (pickle.PicklingError, AttributeError, TypeError) as exc:
+            # A point that does not pickle can reach no worker: fail the
+            # sweep now rather than leave its chunk in flight forever.
+            fatal = SweepError(
+                f"sweep {self._grid_name!r} failed: cannot ship points to "
+                f"a cluster worker: {exc}"
+            )
+            fatal.__cause__ = exc
+            self._fatal = fatal
+            self._finished.set()
+            return
         self._next_chunk += 1
         chunk = self._next_chunk
         link.outstanding[chunk] = set(indices)
@@ -406,9 +420,7 @@ class Coordinator:
             "chunk": chunk,
             "indices": indices,
             "digests": [self._digests[i] for i in indices],
-            "points": protocol.encode_blob(
-                tuple(self._points[i] for i in indices)
-            ),
+            "points": points,
         })
 
     async def _dispatch(self, link: _Link) -> None:

@@ -7,10 +7,9 @@ the bandwidth server. The payloads that are *not* naturally JSON (the
 :class:`~repro.memsim.config.MachineConfig`, ``SweepPoint`` tuples, and
 whole :class:`~repro.memsim.kernels.ResultColumns` blocks) travel as
 pickled, base64-encoded blobs inside a frame field: every one of those
-types is already on the SIM202 pickle boundary (they cross the
-process-pool boundary today), and pickling a column block is the
-structure-of-arrays move — one blob per chunk, never an object per
-point.
+types is on the SIM202 pickle boundary (the cluster wire boundary), and
+pickling a column block is the structure-of-arrays move — one blob per
+chunk, never an object per point.
 
 Every stream is created with an explicit ``limit`` of
 :data:`MAX_FRAME_BYTES`, which is what bounds ``readline`` against a

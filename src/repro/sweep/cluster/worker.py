@@ -4,9 +4,8 @@ One :class:`ClusterWorker` serves one coordinator session over one
 connection. The session is fully coordinator-driven: the worker joins,
 receives a ``hello`` pinning the machine config and directory state,
 then evaluates ``chunk`` frames through its own memoizing
-:class:`~repro.sweep.service.EvaluationService` — the same per-worker
-service arrangement the process-pool backend uses, so all the
-determinism and accounting arguments carry over unchanged.
+:class:`~repro.sweep.service.EvaluationService`, so the determinism and
+accounting arguments of a local sweep carry over unchanged.
 
 Three design points keep the worker responsive and the results exact:
 
@@ -29,7 +28,7 @@ Three design points keep the worker responsive and the results exact:
 * **Per-item accounting.** Each item gets a fresh
   :class:`~repro.obs.CountersRecorder` and a cache-stats delta, shipped
   with the item's ``result`` frame; the coordinator merges snapshots in
-  grid order, exactly as the process pool merges per-chunk snapshots.
+  grid order.
 
 Fault injection (``item_delay_seconds``, ``crash_after_items``,
 ``heartbeat``) exists for the deterministic fault tests: the delay parks
@@ -147,7 +146,9 @@ class ClusterWorker:
             self._writer, {"kind": "join", "protocol": protocol.CLUSTER_PROTOCOL}
         )
         hello = await protocol.read_frame(self._reader)
-        if hello is None:
+        # A ``bye`` in place of the hello: the sweep ended (finished or
+        # failed) before this worker was given any work.
+        if hello is None or hello.get("kind") == "bye":
             return
         if hello.get("kind") != "hello" or hello.get("protocol") != protocol.CLUSTER_PROTOCOL:
             raise SweepError(
@@ -299,8 +300,8 @@ class ClusterWorker:
             try:
                 error_blob = protocol.encode_blob(exc.original)
             except Exception:
-                # Unpicklable originals degrade to a text-only SweepError,
-                # mirroring how pickling drops procpool __cause__ chains.
+                # Unpicklable originals degrade to a text-only SweepError
+                # (pickling drops __cause__ chains anyway).
                 error_blob = protocol.encode_blob(SweepError(str(exc.original)))
             await protocol.send_frame(
                 self._writer,

@@ -1,81 +1,69 @@
-"""Parallel sweep execution with deterministic assembly.
+"""Sweep execution with deterministic assembly.
 
 A :class:`SweepRunner` evaluates every point of a
 :class:`~repro.workloads.grids.SweepGrid` through an
-:class:`~repro.sweep.EvaluationService`, optionally fanning out across a
-worker pool. Results are keyed and assembled by point *label* in grid
-order, and every point is evaluated against the same immutable inputs —
-so any ``jobs``/``backend`` combination is bit-identical to serial
-regardless of completion order.
+:class:`~repro.sweep.EvaluationService`. Results are keyed and
+assembled by point *label* in grid order, and every point is evaluated
+against the same immutable inputs — so every backend is bit-identical
+to serial.
 
-Five backends:
+Three backends:
 
-* ``"serial"`` — evaluate inline, ignoring ``jobs``; the reference
-  behaviour the others are tested against.
-* ``"thread"`` (default) — a thread pool. The GIL serialises the pure
-  Python arithmetic, but hits on the *shared* memo cache overlap, which
-  is the common case for re-priced grids.
-* ``"process"`` — a :mod:`repro.sweep.procpool` process pool for real
-  multicore scaling on cold grids. Each worker owns its own memoizing
-  service (optionally sharing the parent's disk-cache directory), and
-  worker counters/cache statistics are merged back into the parent.
-* ``"vector"`` — route the whole grid through
-  :meth:`~repro.sweep.service.EvaluationService.evaluate_grid`, which
-  computes cache-missing eligible points in one batched NumPy pass
-  (:mod:`repro.memsim.kernels`). With ``jobs > 1`` it composes with the
-  process pool: chunks fan out across workers and each worker runs the
-  batched kernel on its chunk. Bit-identical to serial either way.
+* ``"serial"`` — evaluate point-at-a-time through
+  :meth:`~repro.sweep.service.EvaluationService.evaluate`; the oracle
+  the others are tested against.
+* ``"vector"`` (default) — route the whole grid through
+  :meth:`~repro.sweep.service.EvaluationService.evaluate_grid_columns`,
+  which computes cache-missing eligible points in one batched NumPy
+  pass (:mod:`repro.memsim.kernels`) and keeps results columnar. On the
+  paper's grids (tens to hundreds of points) it is the fastest path;
+  a thread pool (the GIL serialises the arithmetic) or a process pool
+  (start-up and pickling) is slower than serial there.
 * ``"cluster"`` — a :mod:`repro.sweep.cluster` coordinator/worker
   cluster: grid points are sharded by content hash across worker
   processes (spawned locally, or remote ``repro worker`` peers), with a
   content-addressed shared cache tier above each worker's local tiers,
   work-stealing for stragglers, and heartbeat-timeout requeueing for
-  dead workers. Still bit-identical to serial — rows are assembled by
+  dead workers. The worker count comes from
+  :class:`~repro.sweep.cluster.ClusterOptions`. Rows are assembled by
   global grid index.
 
 An unknown ``backend`` name raises
 :class:`~repro.errors.BackendError` naming the valid set. A point that
-raises — serial or parallel — is re-raised as
-:class:`~repro.errors.SweepError` naming the grid and the point label,
-with the original exception chained; ``pool.map`` alone would surface
-only the worker's traceback, leaving the poisoned point anonymous.
+raises is re-raised as :class:`~repro.errors.SweepError` naming the grid
+and the point label, with the original exception chained (the columnar
+backends raise its :class:`~repro.errors.GridPointError` subclass,
+which also carries the partial batch).
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import TYPE_CHECKING
 
-from repro.errors import BackendError, ConfigurationError, SweepError
+from repro.errors import BackendError, SweepError
 from repro.memsim.config import DirectoryState, MachineConfig, paper_config
 from repro.memsim.evaluation import BandwidthResult
+from repro.memsim.kernels import ResultColumns
 from repro.obs import Recorder, default_recorder
 from repro.sweep.service import EvaluationService, default_service
-from repro.workloads.grids import SweepGrid, SweepPoint
-
-if TYPE_CHECKING:
-    from repro.memsim.kernels import ResultColumns
+from repro.workloads.grids import SweepGrid
 
 #: Recognised ``SweepRunner`` backends, in documentation order.
-BACKENDS = ("serial", "thread", "process", "vector", "cluster")
+BACKENDS = ("serial", "vector", "cluster")
 
 
 class SweepRunner:
-    """Evaluates sweep grids, point-parallel, through a shared service.
+    """Evaluates sweep grids through a shared service.
 
     Parameters
     ----------
     service:
         Evaluation service to route points through; defaults to the
         process-wide shared service.
-    jobs:
-        Workers for the fan-out; ``1`` (default) evaluates inline.
     backend:
-        One of :data:`BACKENDS` (``"thread"`` is the default) — see the
-        module docstring for the trade-offs. Every backend produces
-        bit-identical results; anything else raises
-        :class:`~repro.errors.BackendError`.
+        One of :data:`BACKENDS` (``"vector"`` is the default) — see the
+        module docstring. Every backend produces bit-identical results;
+        anything else raises :class:`~repro.errors.BackendError`.
     recorder:
         Observability sink for per-point counters and wall time;
         defaults to the process-wide :func:`repro.obs.default_recorder`.
@@ -85,17 +73,13 @@ class SweepRunner:
         self,
         service: EvaluationService | None = None,
         *,
-        jobs: int = 1,
-        backend: str = "thread",
+        backend: str = "vector",
         recorder: Recorder | None = None,
     ) -> None:
-        if jobs < 1:
-            raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
         if backend not in BACKENDS:
             raise BackendError(backend, BACKENDS)
         self._service = service
         self._recorder = recorder
-        self.jobs = jobs
         self.backend = backend
 
     @property
@@ -114,70 +98,122 @@ class SweepRunner:
         Every point sees the same ``directory`` (default cold) — a sweep
         is a set of independent what-if evaluations, not a sequence, so
         no point's warm-up leaks into another. The result dict is in grid
-        order independent of ``jobs``.
+        order. The columnar backends materialize results (as lazy views)
+        only here at the API boundary; batch-native callers should use
+        :meth:`run_columns` instead.
+        """
+        labels, out = self._execute(grid, config, directory)
+        rows = out.views() if isinstance(out, ResultColumns) else out
+        return dict(zip(labels, rows))
+
+    def run_columns(
+        self,
+        grid: SweepGrid,
+        *,
+        config: MachineConfig | None = None,
+        directory: DirectoryState | None = None,
+    ) -> tuple[list[str], ResultColumns]:
+        """Evaluate every point into one column batch, in grid order.
+
+        The batch-native counterpart of :meth:`run`: with the
+        ``"vector"`` and ``"cluster"`` backends no per-point result
+        object is materialized anywhere — the kernel's columns flow
+        through the service (and, on the cluster, across the wire as
+        column blocks) straight to the caller. The serial backend
+        columnarizes its results at the end, so every backend returns
+        equal batches (bit-identical floats).
+
+        On the columnar backends a failing point raises
+        :class:`~repro.errors.GridPointError` naming the grid and point
+        label and carrying the partial batch of every point completed
+        before the failure.
+        """
+        labels, out = self._execute(grid, config, directory)
+        if not isinstance(out, ResultColumns):
+            out = ResultColumns.from_results(out)
+        return labels, out
+
+    def totals(
+        self,
+        grid: SweepGrid,
+        *,
+        config: MachineConfig | None = None,
+        directory: DirectoryState | None = None,
+    ) -> dict[str, float]:
+        """Total bandwidth per point in decimal GB/s, ``{label: GB/s}``.
+
+        On the columnar backends this reads the totals straight off the
+        column batch — the common consumer path (experiments, the SSB
+        cost model) never materializes a result object.
+        """
+        labels, out = self._execute(grid, config, directory)
+        if isinstance(out, ResultColumns):
+            return dict(zip(labels, out.total_gbps()))
+        return {label: result.total_gbps for label, result in zip(labels, out)}
+
+    def _execute(
+        self,
+        grid: SweepGrid,
+        config: MachineConfig | None,
+        directory: DirectoryState | None,
+    ) -> tuple[list[str], ResultColumns | list[BandwidthResult]]:
+        """The one backend dispatch behind :meth:`run`, :meth:`run_columns`
+        and :meth:`totals`.
+
+        Returns the grid's labels and its results in grid order: a
+        column batch from the columnar backends, or the serial oracle's
+        own scalar results (kept as objects, so the oracle shares no
+        columnar code with the backends it checks).
         """
         cfg = config if config is not None else paper_config()
         state = directory if directory is not None else DirectoryState.cold()
         points = list(grid)
+        labels = [point.label for point in points]
         rec = self._recorder if self._recorder is not None else default_recorder()
         observing = rec.enabled
 
         if self.backend == "cluster":
-            # Imported lazily, like the process pool: only cluster runs
-            # pay for the asyncio/multiprocessing machinery.
+            # Imported lazily: only cluster runs pay for the
+            # asyncio/multiprocessing machinery.
             from repro.sweep import cluster
 
-            return cluster.run_grid(
+            return cluster.run_grid_columns(
                 grid,
                 points,
                 config=cfg,
                 directory=state,
-                jobs=self.jobs,
                 service=self.service,
                 recorder=rec,
             )
 
         if self.backend == "vector":
-            # Columnar end-to-end; the object dict is materialized (as
-            # lazy views) only here at the API boundary. Batch-native
-            # callers should use :meth:`run_columns` instead.
-            if self.jobs > 1 and len(points) > 1:
-                from repro.sweep import procpool
-
-                labels, columns = procpool.run_grid_columns(
-                    grid,
-                    points,
-                    config=cfg,
-                    directory=state,
-                    jobs=self.jobs,
-                    service=self.service,
-                    recorder=rec,
-                )
-            else:
-                labels, columns = self._vector_columns(grid, points, cfg, state, rec)
-            return dict(zip(labels, columns.views()))
-
-        if self.backend == "process" and self.jobs > 1 and len(points) > 1:
-            # Imported lazily: most sweeps never pay for the
-            # concurrent.futures process machinery.
-            from repro.sweep import procpool
-
-            return procpool.run_grid(
-                grid,
-                points,
-                config=cfg,
-                directory=state,
-                jobs=self.jobs,
-                service=self.service,
+            # GridPointError propagates as raised by the service: its
+            # message already names the grid and point label, and it
+            # carries the partial batch.
+            started = time.perf_counter() if observing else 0.0
+            columns = self.service.evaluate_grid_columns(
+                cfg,
+                [point.streams for point in points],
+                state,
                 recorder=rec,
+                labels=labels,
+                grid_name=grid.name,
             )
+            if observing and points:
+                rec.incr("sweep.points_count", len(points))
+                # Batched evaluation has no per-point wall time; spreading
+                # the batch mean keeps the histogram monoid (count/total)
+                # aligned with the serial backend.
+                mean = (time.perf_counter() - started) / len(points)
+                for _ in points:
+                    rec.observe("sweep.point.wall_seconds", mean)
+            return labels, columns
 
-        def evaluate_point(point: SweepPoint) -> BandwidthResult:
+        results: list[BandwidthResult] = []
+        for point in points:
             started = time.perf_counter() if observing else 0.0
             try:
-                result = self.service.evaluate(
-                    cfg, point.streams, state, recorder=rec
-                )
+                result = self.service.evaluate(cfg, point.streams, state, recorder=rec)
             except SweepError:
                 raise
             except Exception as exc:
@@ -190,135 +226,6 @@ class SweepRunner:
                 # summary and TraceRecorder drops observations unless
                 # asked to record them.
                 rec.incr("sweep.points_count")
-                rec.observe(
-                    "sweep.point.wall_seconds", time.perf_counter() - started
-                )
-            return result
-
-        if self.backend == "serial" or self.jobs == 1 or len(points) <= 1:
-            results = [evaluate_point(point) for point in points]
-        else:
-            with ThreadPoolExecutor(max_workers=self.jobs) as pool:
-                results = list(pool.map(evaluate_point, points))
-        return {point.label: result for point, result in zip(points, results)}
-
-    def run_columns(
-        self,
-        grid: SweepGrid,
-        *,
-        config: MachineConfig | None = None,
-        directory: DirectoryState | None = None,
-    ) -> "tuple[list[str], ResultColumns]":
-        """Evaluate every point into one column batch, in grid order.
-
-        The batch-native counterpart of :meth:`run`: with the
-        ``"vector"`` backend no per-point result object is materialized
-        anywhere — the kernel's columns flow through the service (and,
-        with ``jobs > 1``, across the process-pool boundary as column
-        blocks) straight to the caller. The other backends evaluate
-        point-at-a-time as always and columnarize at the end, so every
-        backend returns equal batches (bit-identical floats).
-
-        A failing point raises
-        :class:`~repro.errors.GridPointError` naming the grid and point
-        label and carrying the partial batch of every point completed
-        before the failure.
-        """
-        cfg = config if config is not None else paper_config()
-        state = directory if directory is not None else DirectoryState.cold()
-        points = list(grid)
-        rec = self._recorder if self._recorder is not None else default_recorder()
-
-        if self.backend == "cluster":
-            from repro.sweep import cluster
-
-            return cluster.run_grid_columns(
-                grid,
-                points,
-                config=cfg,
-                directory=state,
-                jobs=self.jobs,
-                service=self.service,
-                recorder=rec,
-            )
-
-        if self.backend == "vector":
-            if self.jobs > 1 and len(points) > 1:
-                from repro.sweep import procpool
-
-                return procpool.run_grid_columns(
-                    grid,
-                    points,
-                    config=cfg,
-                    directory=state,
-                    jobs=self.jobs,
-                    service=self.service,
-                    recorder=rec,
-                )
-            return self._vector_columns(grid, points, cfg, state, rec)
-
-        from repro.memsim.kernels import ResultColumns
-
-        results = self.run(grid, config=config, directory=directory)
-        return list(results), ResultColumns.from_results(results.values())
-
-    def _vector_columns(
-        self,
-        grid: SweepGrid,
-        points: list[SweepPoint],
-        config: MachineConfig,
-        state: DirectoryState,
-        rec: Recorder,
-    ) -> "tuple[list[str], ResultColumns]":
-        """Route the whole grid through the service's batched evaluator.
-
-        :class:`~repro.errors.GridPointError` propagates as raised by the
-        service — it is a :class:`SweepError` whose message already names
-        the grid and point label (the service is passed both), and it
-        carries the partial batch.
-        """
-        labels = [point.label for point in points]
-        observing = rec.enabled
-        started = time.perf_counter() if observing else 0.0
-        columns = self.service.evaluate_grid_columns(
-            config,
-            [point.streams for point in points],
-            state,
-            recorder=rec,
-            labels=labels,
-            grid_name=grid.name,
-        )
-        if observing and points:
-            rec.incr("sweep.points_count", len(points))
-            # Batched evaluation has no per-point wall time; spreading the
-            # batch mean keeps the histogram monoid (count/total) aligned
-            # with the per-point backends.
-            mean = (time.perf_counter() - started) / len(points)
-            for _ in points:
-                rec.observe("sweep.point.wall_seconds", mean)
-        return labels, columns
-
-    def totals(
-        self,
-        grid: SweepGrid,
-        *,
-        config: MachineConfig | None = None,
-        directory: DirectoryState | None = None,
-    ) -> dict[str, float]:
-        """Total bandwidth per point in decimal GB/s, ``{label: GB/s}``.
-
-        On the ``"vector"`` backend this reads the totals straight off
-        the column batch — the common consumer path (experiments, the
-        SSB cost model) never materializes a result object.
-        """
-        if self.backend == "vector":
-            labels, columns = self.run_columns(
-                grid, config=config, directory=directory
-            )
-            return dict(zip(labels, columns.total_gbps()))
-        return {
-            label: result.total_gbps
-            for label, result in self.run(
-                grid, config=config, directory=directory
-            ).items()
-        }
+                rec.observe("sweep.point.wall_seconds", time.perf_counter() - started)
+            results.append(result)
+        return labels, results

@@ -92,8 +92,8 @@ class EvaluationService:
     def disk_cache(self) -> DiskCache | None:
         """The backing :class:`DiskCache`, if any.
 
-        Exposed so the process-pool sweep backend can point worker-side
-        services at the same directory (the disk format is atomic-write,
+        Exposed so the cluster coordinator can back its shared cache
+        tier with the same directory (the disk format is atomic-write,
         so concurrent readers and writers are safe).
         """
         return self._disk

@@ -1,10 +1,9 @@
 """Fault injection against the on-disk evaluation cache (schema v2).
 
-A corrupt cache entry — truncated write, garbage bytes, a payload whose
-schema drifted, or a v1 per-point entry from before the columnar
-refactor — must behave exactly like a miss: the request is re-evaluated,
-the result is bit-identical to a clean computation, and the entry is
-re-written so the *next* process gets a healthy hit. Silently
+A corrupt cache entry — truncated write, garbage bytes, or a payload
+whose schema drifted — must behave exactly like a miss: the request is
+re-evaluated, the result is bit-identical to a clean computation, and
+the entry is re-written so the *next* process gets a healthy hit. Silently
 propagating a half-written payload would poison every figure downstream
 of it.
 
@@ -22,11 +21,9 @@ import pytest
 
 from repro.memsim import evaluation
 from repro.memsim.config import DirectoryState, paper_config
-from repro.memsim.evaluation import observable_pairs
 from repro.memsim.spec import Op, StreamSpec
 from repro.obs import CountersRecorder
 from repro.sweep import DiskCache, EvaluationService
-from repro.sweep.cache import _canonical, request_digest, result_to_payload
 
 SPEC = StreamSpec(op=Op.READ, threads=8, access_size=4096)
 
@@ -154,29 +151,6 @@ def test_stale_index_row_is_a_miss(tmp_path):
     service, _ = evaluate_through(tmp_path)
     assert service.stats.misses == 1
     assert service.stats.disk_hits == 0
-
-
-def test_legacy_v1_entry_is_a_miss_and_gets_migrated(tmp_path):
-    """v1 per-point entries are never read; recompute rewrites as a block."""
-    streams = (SPEC,)
-    state = DirectoryState.cold()
-    normalized = state.restrict(observable_pairs(streams))
-    digest = request_digest(paper_config(), streams, normalized)
-    fresh = evaluation.evaluate(paper_config(), streams, normalized)
-    legacy = tmp_path / digest[:2] / f"{digest}.json"
-    legacy.parent.mkdir(parents=True)
-    legacy.write_text(_canonical(result_to_payload(fresh)), encoding="utf-8")
-
-    service, recomputed = evaluate_through(tmp_path)
-    assert service.stats.misses == 1
-    assert service.stats.disk_hits == 0
-    assert recomputed.total_gbps == fresh.total_gbps
-    # The legacy entry is retired and replaced by a column block ...
-    assert not legacy.exists()
-    sole_block(tmp_path)
-    # ... which the next process hits.
-    follower, _ = evaluate_through(tmp_path)
-    assert follower.stats.disk_hits == 1
 
 
 def test_corrupt_entry_counts_as_miss_in_recorder(tmp_path):

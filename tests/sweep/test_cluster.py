@@ -132,10 +132,12 @@ class TestBitIdentity:
         serial = SweepRunner(
             EvaluationService(memoize=False), backend="serial"
         ).run(grid)
-        cluster = SweepRunner(
-            EvaluationService(memoize=False), jobs=2, backend="cluster"
-        ).run(grid)
+        service = EvaluationService(memoize=False)
+        cluster = SweepRunner(service, backend="cluster").run(grid)
         _assert_identical(serial, cluster)
+        # Worker cache statistics fold into the parent service even when
+        # no recorder is observing.
+        assert (service.stats.hits, service.stats.misses) == (0, len(grid))
 
     @given(
         threads=st.lists(
@@ -153,7 +155,7 @@ class TestBitIdentity:
             EvaluationService(memoize=False), backend="serial"
         ).run(grid)
         cluster = SweepRunner(
-            EvaluationService(memoize=False), jobs=2, backend="cluster"
+            EvaluationService(memoize=False), backend="cluster"
         ).run(grid)
         _assert_identical(serial, cluster)
 
@@ -163,7 +165,7 @@ class TestBitIdentity:
             EvaluationService(memoize=False), backend="serial"
         ).run_columns(grid)
         c_labels, c_columns = SweepRunner(
-            EvaluationService(memoize=False), jobs=2, backend="cluster"
+            EvaluationService(memoize=False), backend="cluster"
         ).run_columns(grid)
         assert s_labels == c_labels
         assert s_columns.total_gbps() == c_columns.total_gbps()
@@ -178,7 +180,7 @@ class TestAccounting:
         ser_svc = EvaluationService(memoize=False)
         clu_svc = EvaluationService(memoize=False)
         SweepRunner(ser_svc, backend="serial", recorder=ser_rec).run(grid)
-        SweepRunner(clu_svc, jobs=2, backend="cluster", recorder=clu_rec).run(grid)
+        SweepRunner(clu_svc, backend="cluster", recorder=clu_rec).run(grid)
         assert (ser_svc.stats.hits, ser_svc.stats.misses, ser_svc.stats.disk_hits) \
             == (clu_svc.stats.hits, clu_svc.stats.misses, clu_svc.stats.disk_hits)
         serial = ser_rec.snapshot()["counters"]
@@ -187,6 +189,8 @@ class TestAccounting:
         # cluster.* keys are extra (the cluster's own mechanics).
         for key in ("sweep.points_count", "sweep.cache.misses_count"):
             assert cluster[key] == serial[key]
+        wall = clu_rec.snapshot()["histograms"]["sweep.point.wall_seconds"]
+        assert wall["count"] == len(grid)
         assert cluster["cluster.workers_count"] == 2
         assert cluster["cluster.chunks.shipped_count"] >= 2
         # Every serial counter exists in the cluster snapshot too (the
@@ -199,11 +203,11 @@ class TestAccounting:
             EvaluationService(memoize=False), backend="serial"
         ).run(grid)
         cold_svc = EvaluationService(disk_cache=DiskCache(tmp_path))
-        cold = SweepRunner(cold_svc, jobs=2, backend="cluster").run(grid)
+        cold = SweepRunner(cold_svc, backend="cluster").run(grid)
         warm_rec = CountersRecorder()
         warm_svc = EvaluationService(disk_cache=DiskCache(tmp_path))
         warm = SweepRunner(
-            warm_svc, jobs=2, backend="cluster", recorder=warm_rec
+            warm_svc, backend="cluster", recorder=warm_rec
         ).run(grid)
         _assert_identical(serial, cold)
         _assert_identical(serial, warm)
@@ -229,7 +233,7 @@ class TestErrorPropagation:
         grid = SweepGrid(name="poisoned", points=points)
         with pytest.raises(GridPointError) as excinfo:
             SweepRunner(
-                EvaluationService(memoize=False), jobs=2, backend="cluster"
+                EvaluationService(memoize=False), backend="cluster"
             ).run_columns(grid)
         exc = excinfo.value
         assert exc.label == "bad"
@@ -245,6 +249,17 @@ class TestErrorPropagation:
             ).run(SweepGrid(name="prefix", points=points[: len(exc.partial)]))
             for row, label in enumerate(list(serial)):
                 assert exc.partial.view(row).counters == serial[label].counters
+
+    def test_unpicklable_point_fails_fast_with_chained_error(self):
+        poisoned = SweepPoint(
+            label="unpicklable",
+            params={"fn": lambda: None},
+            streams=_point("x").streams,
+        )
+        grid = SweepGrid(name="ship-fail", points=(_point("ok"), poisoned))
+        with pytest.raises(SweepError, match="'ship-fail'.*cluster worker") as excinfo:
+            SweepRunner(EvaluationService(), backend="cluster").run(grid)
+        assert excinfo.value.__cause__ is not None
 
 
 class TestBackendValidation:
@@ -290,7 +305,7 @@ class TestOptions:
         labels, columns = run_grid_columns(
             SweepGrid(name="empty", points=(_point("unused"),)), [],
             config=paper_config(), directory=DirectoryState.cold(),
-            jobs=2, service=EvaluationService(), recorder=NULL_RECORDER,
+            service=EvaluationService(), recorder=NULL_RECORDER,
         )
         assert labels == []
         assert len(columns) == 0

@@ -4,12 +4,12 @@ The SoA refactor's contract, pinned here with seeded random grids:
 
 * lazy views materialized off a column batch are **bit-identical** to
   scalar :meth:`EvaluationService.evaluate` results, on every backend
-  (serial / thread / process / vector, with and without a process pool);
+  (serial / vector / cluster);
 * recorder snapshots of a columnar run match the per-point path;
 * batches round-trip the v2 disk-cache payload and the pickle boundary
   float-for-float (the view cache never travels);
 * :class:`~repro.errors.GridPointError` names the failing point and
-  carries the partial batch, inline and across the process pool.
+  carries the partial batch and survives pickling.
 """
 
 import json
@@ -21,7 +21,6 @@ import pytest
 from repro.errors import GridPointError
 from repro.memsim import DirectoryState, Op, StreamSpec, paper_config
 from repro.memsim.kernels import COUNTER_COLUMNS, ResultColumns
-from repro.memsim.kernels.columns import assemble
 from repro.obs import CountersRecorder
 from repro.sweep import DiskCache, EvaluationService, SweepRunner
 from repro.sweep.cache import (
@@ -32,13 +31,7 @@ from repro.sweep.cache import (
 )
 from repro.workloads.grids import SweepGrid, SweepPoint
 
-BACKENDS = [
-    pytest.param("serial", 1, id="serial"),
-    pytest.param("thread", 2, id="thread"),
-    pytest.param("process", 2, id="process"),
-    pytest.param("vector", 1, id="vector"),
-    pytest.param("vector", 2, id="vector-procpool"),
-]
+BACKENDS = ["serial", "vector", "cluster"]
 
 
 def random_grid(seed: int, n: int = 12) -> SweepGrid:
@@ -71,13 +64,13 @@ def results_identical(a, b) -> bool:
 
 
 class TestBitIdentityAcrossBackends:
-    @pytest.mark.parametrize("backend,jobs", BACKENDS)
+    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_views_match_scalar_evaluate(self, backend, jobs, seed):
+    def test_views_match_scalar_evaluate(self, backend, seed):
         grid = random_grid(seed)
         config = paper_config()
         labels, columns = SweepRunner(
-            EvaluationService(memoize=False), backend=backend, jobs=jobs
+            EvaluationService(memoize=False), backend=backend
         ).run_columns(grid)
         assert labels == [point.label for point in grid]
         assert len(columns) == len(grid)
@@ -87,14 +80,14 @@ class TestBitIdentityAcrossBackends:
             assert results_identical(columns.view(i), expected), point.label
             assert columns.point_total_gbps(i) == expected.total_gbps
 
-    @pytest.mark.parametrize("backend,jobs", BACKENDS)
-    def test_batches_equal_across_backends(self, backend, jobs):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_batches_equal_across_backends(self, backend):
         grid = random_grid(7)
         _, reference = SweepRunner(
             EvaluationService(memoize=False), backend="serial"
         ).run_columns(grid)
         _, columns = SweepRunner(
-            EvaluationService(memoize=False), backend=backend, jobs=jobs
+            EvaluationService(memoize=False), backend=backend
         ).run_columns(grid)
         assert columns == reference
 
@@ -159,9 +152,9 @@ class TestDiskCacheRoundTrip:
         """Writers merging one shard union entries instead of racing.
 
         Regression: shards are shared files, and an unlocked
-        read-merge-write let the last of two concurrent pool workers
-        silently drop the other's new entries — a cold ``--jobs N`` run
-        would then miss points on the warm rerun.
+        read-merge-write let the last of two concurrent writers (cluster
+        workers sharing a disk cache) silently drop the other's new
+        entries — a cold run would then miss points on the warm rerun.
         """
         import threading
 
@@ -242,7 +235,7 @@ class TestBatchAssembly:
         assert results_identical(picked.view(0), results[2])
         assert results_identical(picked.view(1), results[0])
 
-    def test_extend_and_assemble_concatenate(self):
+    def test_extend_concatenates(self):
         results = self._results(6)
         left = ResultColumns.from_results(results[:2])
         right = ResultColumns.from_results(results[2:])
@@ -250,7 +243,6 @@ class TestBatchAssembly:
         merged.extend(left)
         merged.extend(right)
         assert merged == ResultColumns.from_results(results)
-        assert assemble([left, right]) == merged
 
     def test_counter_columns_cover_perf_counters(self):
         results = self._results(1)
@@ -283,12 +275,9 @@ class TestGridPointErrorPartial:
             ),
         )
 
-    @pytest.mark.parametrize("jobs", [1, 2], ids=["inline", "procpool"])
-    def test_partial_batch_holds_the_completed_prefix(self, jobs):
+    def test_partial_batch_holds_the_completed_prefix(self):
         grid = self._poisoned()
-        runner = SweepRunner(
-            EvaluationService(memoize=False), backend="vector", jobs=jobs
-        )
+        runner = SweepRunner(EvaluationService(memoize=False), backend="vector")
         with pytest.raises(GridPointError) as excinfo:
             runner.run_columns(grid)
         error = excinfo.value

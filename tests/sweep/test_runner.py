@@ -1,8 +1,8 @@
-"""SweepRunner: parallel, interleaved, and cached runs are bit-identical."""
+"""SweepRunner: backends, interleaved, and cached runs are bit-identical."""
 
 import pytest
 
-from repro.errors import SimulationError, SweepError
+from repro.errors import BackendError, SimulationError, SweepError
 from repro.memsim import DirectoryState, MachineConfig, Op, StreamSpec, paper_config
 from repro.sweep import EvaluationService, SweepRunner
 from repro.workloads.grids import SweepGrid, SweepPoint
@@ -35,32 +35,46 @@ def make_grid(name: str = "grid", threads=(1, 2, 4, 8, 18, 24, 36)) -> SweepGrid
     return SweepGrid(name=name, points=tuple(points))
 
 
-class TestParallelism:
-    def test_jobs_4_bit_identical_to_jobs_1(self):
-        grid = make_grid()
-        serial = SweepRunner(EvaluationService(memoize=False), jobs=1).run(grid)
-        threaded = SweepRunner(EvaluationService(memoize=False), jobs=4).run(grid)
-        assert list(serial) == list(threaded)  # same labels, same order
-        for label in serial:
-            assert serial[label].total_gbps == threaded[label].total_gbps
-            assert serial[label].counters == threaded[label].counters
-            assert serial[label].directory_after == threaded[label].directory_after
+class TestBackendChoice:
+    def test_vector_is_the_default(self):
+        assert SweepRunner().backend == "vector"
 
-    def test_jobs_share_one_memo_cache(self):
+    def test_removed_backend_rejected_naming_valid_set(self):
+        with pytest.raises(BackendError) as excinfo:
+            SweepRunner(backend="thread")
+        assert excinfo.value.valid == ("serial", "vector", "cluster")
+
+
+class TestParallelism:
+    def test_vector_bit_identical_to_serial(self):
+        grid = make_grid()
+        serial = SweepRunner(
+            EvaluationService(memoize=False), backend="serial"
+        ).run(grid)
+        vector = SweepRunner(
+            EvaluationService(memoize=False), backend="vector"
+        ).run(grid)
+        assert list(serial) == list(vector)  # same labels, same order
+        for label in serial:
+            assert serial[label].total_gbps == vector[label].total_gbps
+            assert serial[label].counters == vector[label].counters
+            assert serial[label].directory_after == vector[label].directory_after
+
+    def test_runners_share_one_memo_cache(self):
         service = EvaluationService()
         grid = make_grid()
-        SweepRunner(service, jobs=4).run(grid)
-        SweepRunner(service, jobs=4).run(grid)
+        SweepRunner(service, backend="serial").run(grid)
+        SweepRunner(service, backend="vector").run(grid)
         assert service.stats.hits >= len(grid)
 
     def test_results_keyed_and_ordered_by_label(self):
         grid = make_grid(threads=(1, 4))
-        results = SweepRunner(EvaluationService(), jobs=2).run(grid)
+        results = SweepRunner(EvaluationService()).run(grid)
         assert list(results) == grid.labels()
 
     def test_totals_match_run(self):
         grid = make_grid(threads=(1, 4))
-        runner = SweepRunner(EvaluationService(), jobs=2)
+        runner = SweepRunner(EvaluationService())
         assert runner.totals(grid) == {
             label: result.total_gbps for label, result in runner.run(grid).items()
         }
@@ -96,7 +110,7 @@ class TestIsolation:
         not warm the directory for a far point later in the grid."""
         grid = make_grid(threads=(4,))
         reversed_grid = SweepGrid(name="rev", points=tuple(reversed(grid.points)))
-        runner = SweepRunner(EvaluationService(), jobs=1)
+        runner = SweepRunner(EvaluationService())
         forward = runner.totals(grid, directory=DirectoryState.cold())
         backward = runner.totals(reversed_grid, directory=DirectoryState.cold())
         assert forward == backward
@@ -106,7 +120,7 @@ def poisoned_grid() -> SweepGrid:
     """A grid whose middle point references a socket that does not exist.
 
     The spec constructs fine — the failure only surfaces inside
-    ``evaluate``, which is exactly the case where a bare thread-pool
+    ``evaluate``, which is exactly the case where a bare worker
     traceback would not say which point was at fault.
     """
     good = StreamSpec(op=Op.READ, threads=4, access_size=4096)
@@ -122,9 +136,11 @@ def poisoned_grid() -> SweepGrid:
 
 
 class TestPoisonedPoint:
-    @pytest.mark.parametrize("jobs", [1, 4], ids=["serial", "parallel"])
-    def test_error_names_grid_and_point(self, jobs):
-        runner = SweepRunner(EvaluationService(memoize=False), jobs=jobs)
+    @pytest.mark.parametrize(
+        "backend", ["serial", "cluster"], ids=["serial", "parallel"]
+    )
+    def test_error_names_grid_and_point(self, backend):
+        runner = SweepRunner(EvaluationService(memoize=False), backend=backend)
         with pytest.raises(SweepError) as excinfo:
             runner.run(poisoned_grid())
         message = str(excinfo.value)
@@ -132,7 +148,7 @@ class TestPoisonedPoint:
         assert "'bad-socket-9'" in message
 
     def test_original_exception_is_chained(self):
-        runner = SweepRunner(EvaluationService(memoize=False))
+        runner = SweepRunner(EvaluationService(memoize=False), backend="serial")
         with pytest.raises(SweepError) as excinfo:
             runner.run(poisoned_grid())
         cause = excinfo.value.__cause__

@@ -1,8 +1,5 @@
 """EvaluationService: caching is invisible except in the stats."""
 
-import pytest
-
-from repro.errors import ConfigurationError
 from repro.memsim import DirectoryState, Op, StreamSpec, paper_config
 from repro.sweep import DiskCache, EvaluationService, default_service, set_default_service
 from repro.sweep.cache import request_digest
@@ -134,12 +131,6 @@ class TestDefaultService:
         finally:
             set_default_service(previous)
         assert default_service() is not fresh
-
-    def test_invalid_jobs_rejected(self):
-        from repro.sweep import SweepRunner
-
-        with pytest.raises(ConfigurationError):
-            SweepRunner(jobs=0)
 
     def test_lazy_init_is_race_free(self):
         import threading

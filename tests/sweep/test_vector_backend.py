@@ -4,8 +4,8 @@
 beyond result equality these tests pin the operational contract: cache
 statistics and recorder counters account every point exactly as the
 serial path does, a grid-primed memo cache services later per-point
-calls, failures name the grid and point label, and composing with the
-process pool (``jobs > 1``) changes nothing observable.
+calls, and failures name the grid and point label — inline, and after
+crossing the cluster wire.
 """
 
 import pytest
@@ -97,16 +97,6 @@ class TestBitIdentity:
         ).run(grid, config=config, directory=warm)
         assert_runs_identical(serial, vector)
 
-    def test_vector_composes_with_process_pool(self):
-        grid = make_grid()
-        serial = SweepRunner(
-            EvaluationService(memoize=False), backend="serial"
-        ).run(grid)
-        fanned = SweepRunner(
-            EvaluationService(memoize=False), backend="vector", jobs=2
-        ).run(grid)
-        assert_runs_identical(serial, fanned)
-
 
 class TestCacheInterop:
     def test_stats_account_every_point(self):
@@ -154,11 +144,11 @@ class TestObservability:
 
 
 class TestFailures:
-    @pytest.mark.parametrize("jobs", [1, 2], ids=["inline", "procpool"])
-    def test_error_names_grid_and_point(self, jobs):
-        runner = SweepRunner(
-            EvaluationService(memoize=False), backend="vector", jobs=jobs
-        )
+    @pytest.mark.parametrize(
+        "backend", ["vector", "cluster"], ids=["inline", "cluster"]
+    )
+    def test_error_names_grid_and_point(self, backend):
+        runner = SweepRunner(EvaluationService(memoize=False), backend=backend)
         with pytest.raises(SweepError) as excinfo:
             runner.run(poisoned_grid())
         message = str(excinfo.value)

@@ -23,10 +23,7 @@ def minimal_payload() -> dict:
     return {
         "schema": SCHEMA,
         "created": "20260807T000000Z",
-        "config": {
-            "jobs": 1, "backend": "thread", "smoke": True,
-            "warmup": False, "rounds": 1,
-        },
+        "config": {"smoke": True, "warmup": False, "rounds": 1},
         "cache_stats": {"hits": 0, "misses": 3, "disk_hits": 0},
         "benchmarks": [
             {
@@ -49,11 +46,11 @@ class TestSelection:
         assert [path.name for path in selected] == list(SMOKE_BENCHES)
 
     def test_substring_and_stem_match_same_file(self):
-        by_sub = resolve_selection(["procpool"])
-        by_stem = resolve_selection(["bench_procpool_sweep"])
-        by_name = resolve_selection(["bench_procpool_sweep.py"])
+        by_sub = resolve_selection(["cluster"])
+        by_stem = resolve_selection(["bench_cluster_sweep"])
+        by_name = resolve_selection(["bench_cluster_sweep.py"])
         assert by_sub == by_stem == by_name
-        assert [path.name for path in by_sub] == ["bench_procpool_sweep.py"]
+        assert [path.name for path in by_sub] == ["bench_cluster_sweep.py"]
 
     def test_no_names_selects_whole_suite(self):
         everything = resolve_selection(None)
@@ -74,7 +71,7 @@ class TestSchema:
             (lambda p: p.pop("schema"), "schema is None"),
             (lambda p: p.update(schema="repro.bench/0"), "schema is"),
             (lambda p: p.update(created=123), "'created'"),
-            (lambda p: p["config"].pop("backend"), "config\\['backend'\\]"),
+            (lambda p: p["config"].pop("smoke"), "config\\['smoke'\\]"),
             (lambda p: p["config"].update(rounds="three"), "config\\['rounds'\\]"),
             (lambda p: p["cache_stats"].pop("disk_hits"), "disk_hits"),
             (lambda p: p.update(benchmarks=[]), "non-empty"),
@@ -94,6 +91,29 @@ class TestSchema:
         path = write_payload(payload, tmp_path)
         assert path.name == "BENCH_20260807T000000Z.json"
         assert json.loads(path.read_text()) == payload
+
+
+class TestBenchAssertsInTier1:
+    def test_sweep_service_bench_passes_with_benchmarks_disabled(self):
+        """The bench's identity and hit-rate asserts hold in one-shot mode.
+
+        ``--benchmark-disable`` runs each benchmarked callable exactly
+        once, so an assertion that depends on the round count fails here.
+        """
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(root / "src"), str(root), env.get("PYTHONPATH", "")]
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest",
+             str(root / "benchmarks" / "bench_sweep_service.py"),
+             "--benchmark-disable", "-p", "no:cacheprovider",
+             "--override-ini", "addopts=", "-q"],
+            capture_output=True, text=True, timeout=300, env=env, cwd=root,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "2 passed" in proc.stdout
 
 
 class TestSmokeRun:

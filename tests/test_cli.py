@@ -102,6 +102,17 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["fly"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "fig3", "--jobs", "2"], ["bench", "--backend", "serial"]],
+        ids=["run-jobs", "bench-backend"],
+    )
+    def test_removed_options_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestClusterCli:
     def test_unknown_backend_rejected_naming_choices(self, capsys):
