@@ -6,12 +6,12 @@ hyperthreaded readers reach the 40 GB/s peak. The same switch exists on
 the model.
 """
 
-from repro.memsim import BandwidthModel, Layout
+from repro.memsim import BandwidthModel, Layout, MachineConfig
 
 
 def _study():
-    on = BandwidthModel(prefetcher_enabled=True)
-    off = BandwidthModel(prefetcher_enabled=False)
+    on = BandwidthModel(MachineConfig(prefetcher_enabled=True))
+    off = BandwidthModel(MachineConfig(prefetcher_enabled=False))
     return {
         "dip_1k_on": on.sequential_read(36, 1024, layout=Layout.GROUPED),
         "dip_1k_off": off.sequential_read(36, 1024, layout=Layout.GROUPED),

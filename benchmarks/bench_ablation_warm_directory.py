@@ -5,18 +5,20 @@ the multi-threaded run — is reproduced: one cheap touch removes the 5x
 first-run penalty.
 """
 
-from repro.memsim import BandwidthModel
+from repro.memsim import BandwidthModel, DirectoryState, Op, StreamSpec
+
+
+def _far_read(threads: int) -> StreamSpec:
+    return StreamSpec(op=Op.READ, threads=threads, issuing_socket=0, target_socket=1)
 
 
 def _study():
     model = BandwidthModel()
-    model.reset_directory()
-    cold = model.sequential_read(18, 4096, far=True, warm=False)
+    cold = model.evaluate([_far_read(18)], DirectoryState.cold()).total_gbps
 
-    model.reset_directory()
     # Single-threaded priming pass, then the measured run.
-    model.sequential_read(1, 4096, far=True, warm=False)
-    primed = model.sequential_read(18, 4096, far=True, warm=False)
+    priming = model.evaluate([_far_read(1)], DirectoryState.cold())
+    primed = model.evaluate([_far_read(18)], priming.directory_after).total_gbps
     return {"cold_gbps": cold, "primed_gbps": primed}
 
 

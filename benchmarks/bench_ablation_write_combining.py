@@ -6,12 +6,12 @@ configurations collapse. Quantifies how much of PMEM's usable write
 bandwidth the buffer is responsible for.
 """
 
-from repro.memsim import BandwidthModel
+from repro.memsim import BandwidthModel, MachineConfig
 
 
 def _study():
-    on = BandwidthModel(write_combining_enabled=True)
-    off = BandwidthModel(write_combining_enabled=False)
+    on = BandwidthModel(MachineConfig(write_combining_enabled=True))
+    off = BandwidthModel(MachineConfig(write_combining_enabled=False))
     return {
         "best_config_on": on.sequential_write(4, 4096),
         "best_config_off": off.sequential_write(4, 4096),

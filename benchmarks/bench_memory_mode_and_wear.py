@@ -40,7 +40,6 @@ def test_memory_mode(benchmark):
 
 def _wear_study():
     model = BandwidthModel()
-    model.warm_directory()
     near = model.evaluate(
         [StreamSpec(op=Op.WRITE, threads=6, pinning=PinningPolicy.NUMA_REGION)]
     )

@@ -96,6 +96,6 @@ def test_sweep_cold_with_counters(benchmark, fig3_grid):
 
 
 def test_model_facade_unaffected(benchmark, model: BandwidthModel):
-    """The deprecated façade still answers point queries at full speed."""
+    """BandwidthModel still answers point queries at full speed."""
     gbps = benchmark(lambda: model.sequential_read(36, 4096))
     assert gbps > 0.0

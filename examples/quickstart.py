@@ -8,8 +8,9 @@ practices — all computed live from the mechanistic model.
 Run:  python examples/quickstart.py
 """
 
-from repro import BandwidthModel, Layout, MediaKind, PinningPolicy, paper_server
+from repro import BandwidthModel, Layout, MediaKind, Op, PinningPolicy, StreamSpec, paper_server
 from repro.core import practices_report
+from repro.memsim import DirectoryState, MachineConfig
 
 
 def main() -> None:
@@ -17,7 +18,7 @@ def main() -> None:
     print(topology.describe())
     print()
 
-    model = BandwidthModel(topology)
+    model = BandwidthModel(MachineConfig(topology))
 
     print("1. Reads behave like slower DRAM (§3) ------------------------")
     for threads in (1, 4, 8, 18, 36):
@@ -40,10 +41,11 @@ def main() -> None:
     print()
 
     print("3. NUMA is a cliff, not a slope (§3.4) -----------------------")
-    model.reset_directory()
     near = model.sequential_read(18, 4096)
-    cold = model.sequential_read(18, 4096, far=True, warm=False)
-    warm = model.sequential_read(18, 4096, far=True, warm=False)  # 2nd run
+    far = StreamSpec(op=Op.READ, threads=18, issuing_socket=0, target_socket=1)
+    first = model.evaluate([far], DirectoryState.cold())
+    cold = first.total_gbps
+    warm = model.evaluate([far], first.directory_after).total_gbps  # 2nd run
     unpinned = model.sequential_read(18, 4096, pinning=PinningPolicy.NONE)
     print(f"   near PMEM            : {near:5.1f} GB/s")
     print(f"   far PMEM, first run  : {cold:5.1f} GB/s  (directory cold)")

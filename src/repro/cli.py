@@ -127,9 +127,10 @@ def _build_parser() -> argparse.ArgumentParser:
     bandwidth.add_argument("--pinning", choices=("none", "numa_region", "cores"),
                            default="cores")
     bandwidth.add_argument("--far", action="store_true",
-                           help="access the other socket's memory")
+                           help="access the other socket's memory "
+                                "(sequential only)")
     bandwidth.add_argument("--cold", action="store_true",
-                           help="far access with a cold coherence directory")
+                           help="far read with a cold coherence directory")
 
     ssb = sub.add_parser("ssb", help="run the SSB reproduction")
     ssb.add_argument("--sf", type=float, default=0.05,
@@ -254,7 +255,7 @@ def _cmd_run(
     )
     previous = None
     if cache_dir is not None:
-        # Route every evaluation (experiments, SSB pricing, the façade)
+        # Route every evaluation (experiments, SSB pricing, BandwidthModel)
         # through a service backed by the on-disk cache for this command.
         previous = set_default_service(
             EvaluationService(disk_cache=DiskCache(cache_dir))
@@ -330,6 +331,15 @@ def _cmd_report() -> int:
     return 0
 
 
+def _bandwidth_usage_error(args: argparse.Namespace) -> str | None:
+    """Why a ``bandwidth`` option combination has no meaning, if it has none."""
+    if args.pattern == "random" and args.far:
+        return "--far applies to sequential access only"
+    if args.cold and not (args.far and args.op == "read"):
+        return "--cold applies to --far reads only"
+    return None
+
+
 def _cmd_bandwidth(args: argparse.Namespace) -> int:
     model = BandwidthModel()
     media = MediaKind.PMEM if args.media == "pmem" else MediaKind.DRAM
@@ -340,23 +350,23 @@ def _cmd_bandwidth(args: argparse.Namespace) -> int:
             gbps = model.random_read(args.threads, args.size, media=media)
         else:
             gbps = model.random_write(args.threads, args.size, media=media)
-    elif args.op == "read":
-        if args.far and not args.cold:
-            model.warm_directory()
-        gbps = model.sequential_read(
-            args.threads, args.size, layout=layout, media=media,
-            pinning=pinning, far=args.far, warm=args.far and not args.cold,
-        )
+        where = args.media
     else:
-        gbps = model.sequential_write(
-            args.threads, args.size, layout=layout, media=media,
-            pinning=pinning, far=args.far,
-        )
-    locality = "far" if args.far else "near"
+        if args.op == "read":
+            gbps = model.sequential_read(
+                args.threads, args.size, layout=layout, media=media,
+                pinning=pinning, far=args.far, warm=not args.cold,
+            )
+        else:
+            gbps = model.sequential_write(
+                args.threads, args.size, layout=layout, media=media,
+                pinning=pinning, far=args.far,
+            )
+        locality = "far" if args.far else "near"
+        where = f"{args.layout}, {args.pinning}, {locality} {args.media}"
     print(
         f"{args.op} {args.pattern} {args.size}B x {args.threads} threads "
-        f"({args.layout}, {args.pinning}, {locality} {args.media}): "
-        f"{gbps:.2f} GB/s"
+        f"({where}): {gbps:.2f} GB/s"
     )
     return 0
 
@@ -549,7 +559,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         from repro.analysis.cli import main as lint_main
 
         return lint_main(argv[1:])
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     if args.command == "list":
         return _cmd_list()
     if args.command == "run":
@@ -567,6 +578,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "report":
         return _cmd_report()
     if args.command == "bandwidth":
+        problem = _bandwidth_usage_error(args)
+        if problem is not None:
+            parser.error(problem)
         return _cmd_bandwidth(args)
     if args.command == "ssb":
         return _cmd_ssb(args)

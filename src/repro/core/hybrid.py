@@ -112,7 +112,7 @@ class HybridPlanner:
         self.threads = threads
         # Placement decisions are steady-state comparisons, priced through
         # the (memoized) evaluation service with an explicit warm state.
-        self._directory = DirectoryState.warm(self.model.topology)
+        self._directory = DirectoryState.warm(self.model.config.topology)
 
     def _seconds(self, structure: Structure, media: MediaKind) -> float:
         """Time to move the structure's traffic on ``media``."""
@@ -129,9 +129,7 @@ class HybridPlanner:
                 pattern=Pattern.RANDOM,
                 region_bytes=max(structure.size_bytes, structure.access_size),
             )
-        gbps = self.model.service.evaluate(
-            self.model.config, (spec,), self._directory
-        ).total_gbps
+        gbps = self.model.evaluate((spec,), self._directory).total_gbps
         return structure.traffic_bytes / (gbps * GB)
 
     def benefit(self, structure: Structure) -> float:

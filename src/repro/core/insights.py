@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from repro.memsim import BandwidthModel, Layout, PinningPolicy
+from repro.memsim import BandwidthModel, DirectoryState, Layout, PinningPolicy
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,6 @@ def _insight_3(m: BandwidthModel) -> bool:
 
 
 def _insight_4(m: BandwidthModel) -> bool:
-    m.reset_directory()
     cold = m.sequential_read(18, 4096, far=True, warm=False)
     warm = m.sequential_read(18, 4096, far=True, warm=True)
     near = m.sequential_read(18, 4096)
@@ -62,7 +61,6 @@ def _insight_4(m: BandwidthModel) -> bool:
 def _insight_5(m: BandwidthModel) -> bool:
     from repro.memsim.spec import Op, StreamSpec
 
-    m.warm_directory()
     near = StreamSpec(op=Op.READ, threads=18, pinning=PinningPolicy.NUMA_REGION)
     two_near = m.evaluate(
         [near, near.with_(issuing_socket=1, target_socket=1)]
@@ -71,7 +69,8 @@ def _insight_5(m: BandwidthModel) -> bool:
         [
             near.with_(issuing_socket=0, target_socket=1),
             near.with_(issuing_socket=1, target_socket=0),
-        ]
+        ],
+        DirectoryState.warm(m.config.topology),
     ).total_gbps
     one_near = m.evaluate([near]).total_gbps
     return two_near > 1.9 * one_near and two_near > 1.4 * two_far

@@ -86,11 +86,10 @@ def tune(
     """
     model = model if model is not None else BandwidthModel()
     space = space if space is not None else TuningSpace()
-    config, service = model.config, model.service
     # Every candidate is scored against the same steady-state directory
     # (memoized in the shared evaluation cache), so the sweep is pure and
     # its order is irrelevant.
-    directory = DirectoryState.warm(config.topology)
+    directory = DirectoryState.warm(model.config.topology)
     candidates: list[TuningCandidate] = []
     for threads in space.thread_counts:
         for size in space.access_sizes:
@@ -105,7 +104,7 @@ def tune(
                         pattern=pattern,
                         **spec_overrides,  # type: ignore[arg-type]
                     )
-                    gbps = service.evaluate(config, (spec,), directory).total_gbps
+                    gbps = model.evaluate((spec,), directory).total_gbps
                     candidates.append(TuningCandidate(spec=spec, gbps=gbps))
     top_gbps = max(c.gbps for c in candidates)
     # Among configurations within half a percent of the optimum, prefer

@@ -130,5 +130,5 @@ def analyze(
             except CalibrationError:
                 report.rejected.append(key)
                 continue
-            report.outcomes[key] = verify_all(BandwidthModel(config=config))
+            report.outcomes[key] = verify_all(BandwidthModel(config))
     return report

@@ -2,23 +2,13 @@
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from repro.memsim import BandwidthModel, DirectoryState
 from repro.sweep import SweepRunner
 from repro.workloads.grids import SweepGrid
 
 
-@lru_cache(maxsize=1)
-def _default_model() -> BandwidthModel:
-    # One shared façade over the cached paper MachineConfig: every
-    # default-invoked experiment reuses the same validated calibration
-    # and the same evaluation-cache keys.
-    return BandwidthModel()
-
-
 def model_or_default(model: BandwidthModel | None) -> BandwidthModel:
-    return model if model is not None else _default_model()
+    return model if model is not None else BandwidthModel()
 
 
 def evaluate_grid(
@@ -41,7 +31,7 @@ def evaluate_grid(
     ``backend`` selects instead.
     """
     if directory is None:
-        directory = DirectoryState.warm(model.topology)
+        directory = DirectoryState.warm(model.config.topology)
     runner = SweepRunner(model.service, backend=backend)
     return runner.totals(grid, config=model.config, directory=directory)
 

@@ -55,7 +55,7 @@ def run(
     result.compare(
         "pre-faulting 1 GB (§2.3: >= 0.25 s)",
         paperdata.PAGE_FAULT_SECONDS_PER_GIB,
-        region.fault_cost(model.calibration.pmem.page_fault_cost),
+        region.fault_cost(model.config.calibration.pmem.page_fault_cost),
         unit="s",
     )
     return result

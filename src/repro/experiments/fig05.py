@@ -5,7 +5,7 @@ remapping (~8 GB/s, best with only 4 threads); the second run jumps to
 ~33 GB/s; near reads hit the 40 GB/s device peak.
 
 This is the one experiment that studies the *cold* path, so it threads
-explicit :class:`DirectoryState` values through the evaluation service:
+explicit :class:`DirectoryState` values through ``model.evaluate``:
 each thread count starts from :meth:`DirectoryState.cold`, and the
 "2nd Far" series re-evaluates against the first run's
 ``directory_after`` — no model mutation anywhere.
@@ -27,7 +27,6 @@ def run(
     backend: str = "vector",
 ) -> ExperimentResult:
     model = model_or_default(model)
-    config, service = model.config, model.service
     result = ExperimentResult(exp_id="fig5", title="Read NUMA effects")
 
     near = {str(t): model.sequential_read(t, 4096) for t in THREADS}
@@ -38,9 +37,9 @@ def run(
             op=Op.READ, threads=threads, access_size=4096,
             issuing_socket=0, target_socket=1,
         )
-        first = service.evaluate(config, (far_spec,), DirectoryState.cold())
+        first = model.evaluate((far_spec,), DirectoryState.cold())
         # Second run against the now-warm state (the paper's "2nd Far").
-        second = service.evaluate(config, (far_spec,), first.directory_after)
+        second = model.evaluate((far_spec,), first.directory_after)
         cold[str(threads)] = first.total_gbps
         warm[str(threads)] = second.total_gbps
     result.add_series("near", near)

@@ -54,13 +54,12 @@ def run(
     # UPI utilization in the 2-Far scenario (§3.5: VTune shows 90%+),
     # evaluated against an explicit warm directory state.
     spec = StreamSpec(op=Op.READ, threads=18, pinning=PinningPolicy.NUMA_REGION)
-    two_far = model.service.evaluate(
-        model.config,
+    two_far = model.evaluate(
         (
             spec.with_(issuing_socket=0, target_socket=1),
             spec.with_(issuing_socket=1, target_socket=0),
         ),
-        DirectoryState.warm(model.topology),
+        DirectoryState.warm(model.config.topology),
     )
     result.compare(
         "UPI utilization, 2 Far (§3.5: 90%+)",

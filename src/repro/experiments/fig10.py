@@ -59,8 +59,7 @@ def run(
         max(result.series_values("1 Near 1 Far").values()),
     )
 
-    far_run = model.service.evaluate(
-        model.config,
+    far_run = model.evaluate(
         (
             StreamSpec(
                 op=Op.WRITE,
@@ -70,7 +69,7 @@ def run(
                 target_socket=1,
             ),
         ),
-        DirectoryState.warm(model.topology),
+        DirectoryState.warm(model.config.topology),
     )
     result.compare(
         "far-write internal amplification (§4.4: up to 10x)",

@@ -11,8 +11,9 @@ Public surface:
   the pure evaluation core;
 * :func:`~repro.memsim.evaluation.evaluate` — the analytic steady-state
   model behind every microbenchmark figure, as a pure function;
-* :class:`~repro.memsim.bandwidth.BandwidthModel` — the deprecated
-  mutable façade over it, kept for backward compatibility;
+* :class:`~repro.memsim.bandwidth.BandwidthModel` — the convenience
+  entry point over ``evaluate(config, streams, DirectoryState)``: a
+  frozen ``(config, service)`` handle;
 * :class:`~repro.memsim.spec.StreamSpec` and friends — workload
   descriptions;
 * :mod:`repro.memsim.engine` — the discrete-event cross-check.
@@ -29,7 +30,7 @@ from repro.memsim.memory_mode import MemoryModeConfig, MemoryModeModel
 from repro.memsim.mixed import MixedOutcome
 from repro.memsim.wear import WearEstimate, wear_from_counters
 from repro.memsim.scheduler import PinningPolicy
-from repro.memsim.spec import Layout, Op, Pattern, StreamSpec, read_stream, write_stream
+from repro.memsim.spec import Layout, Op, Pattern, StreamSpec
 from repro.memsim.topology import MediaKind, SystemTopology, build_topology, paper_server
 
 __all__ = [
@@ -61,7 +62,5 @@ __all__ = [
     "paper_calibration",
     "paper_config",
     "paper_server",
-    "read_stream",
     "wear_from_counters",
-    "write_stream",
 ]

@@ -1,214 +1,77 @@
-"""Backward-compatible façade over the pure evaluation core.
+"""Convenience entry point over the pure evaluation core.
 
-.. deprecated::
-    :class:`BandwidthModel` predates the pure-core refactor and is kept
-    as a thin delegating façade. New code should use
-    :class:`~repro.memsim.config.MachineConfig` with
-    :func:`repro.memsim.evaluation.evaluate` (or, for sweeps, the cached
-    :class:`~repro.sweep.SweepRunner`) and thread
-    :class:`~repro.memsim.config.DirectoryState` values explicitly.
-
-The actual model — issue rates, media ceilings, locality effects, and
+The model itself — issue rates, media ceilings, locality effects, and
 cross-stream interactions — lives in :mod:`repro.memsim.evaluation` as a
-pure function of ``(MachineConfig, streams, DirectoryState)``. This
-module re-exports the result types and wraps the function in the old
-mutable-object interface: the façade owns a :class:`CoherenceDirectory`
-whose contents are converted to an explicit
-:class:`~repro.memsim.config.DirectoryState` for each call, and warmed
-in place from the result afterwards. All evaluations are routed through
-the process-wide :class:`~repro.sweep.EvaluationService`, so façade
-users share the memo cache with service-native callers.
+pure function of ``(MachineConfig, streams, DirectoryState)``.
+:class:`BandwidthModel` is a frozen ``(config, service)`` handle over
+``evaluate(config, streams, DirectoryState)``: it names the common
+single-stream queries (sequential, random, mixed) and routes every call
+through an :class:`~repro.sweep.EvaluationService`, so its users share
+the memo cache with service-native callers. It holds no directory state;
+a far read is cold or warm because the call says so, and callers that
+chain runs pass a result's ``directory_after`` back in.
 """
 
 from __future__ import annotations
 
-import math
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.errors import WorkloadError
 from repro.memsim import mixed as mixed_model
 from repro.memsim.address import DaxMode
-from repro.memsim.buffers import ReadBufferModel, WriteCombiningModel
-from repro.memsim.calibration import DeviceCalibration
 from repro.memsim.config import DirectoryState, MachineConfig, paper_config
-from repro.memsim.evaluation import BandwidthResult, StreamResult, components
-from repro.memsim.imc import ImcModel
-from repro.memsim.prefetcher import PrefetcherModel
-from repro.memsim.scheduler import PinningPolicy, SchedulerModel
+from repro.memsim.evaluation import BandwidthResult, StreamResult
+from repro.memsim.scheduler import PinningPolicy
 from repro.memsim.spec import Layout, Op, Pattern, StreamSpec
-from repro.memsim.topology import MediaKind, SystemTopology
-from repro.memsim.upi import CoherenceDirectory, UpiModel
+from repro.memsim.topology import MediaKind
 from repro.units import GIB
 
-__all__ = [
-    "BandwidthModel",
-    "BandwidthResult",
-    "StreamResult",
-    "effective_threads",
-    "is_finite_bandwidth",
-    "ssd_scan_bandwidth",
-]
+if TYPE_CHECKING:
+    from repro.sweep.service import EvaluationService
+
+__all__ = ["BandwidthModel", "BandwidthResult", "StreamResult"]
 
 
+@dataclass(frozen=True)
 class BandwidthModel:
     """Steady-state bandwidth calculator for a configured server.
 
-    .. deprecated::
-        Thin façade kept for backward compatibility; prefer the pure
-        ``evaluate(MachineConfig, streams, DirectoryState)`` API (see the
-        module docstring). The façade adds nothing but mutable directory
-        bookkeeping on top of it.
-
     Parameters
     ----------
-    topology:
-        Hardware layout; defaults to the paper's dual-socket server.
-    calibration:
-        Fitted device parameters; defaults to the paper profile.
-    prefetcher_enabled:
-        Model the L2 hardware prefetcher (default). Disabling it
-        reproduces the paper's prefetcher ablation (§3.1-§3.2).
-    write_combining_enabled:
-        Model Optane's write-combining buffer (default). Disabling it is
-        a pure what-if ablation.
     config:
-        An already-built :class:`MachineConfig`; mutually exclusive with
-        the individual parameters above.
+        The simulated server (topology, calibration, ablation toggles);
+        defaults to the paper's dual-socket machine.
     service:
-        Evaluation service to route calls through; defaults to the
-        process-wide shared service (and its shared memo cache).
-
-    The façade holds one piece of mutable state: the cross-socket
-    :class:`CoherenceDirectory`. Far reads are slow until their
-    (reader, home) pair has been touched, exactly like the paper's
-    first-run measurements; :meth:`reset_directory` restores the cold
-    state and :meth:`warm_directory` pre-touches every pair.
+        Evaluation service to route calls through; ``None`` means the
+        process-wide :func:`~repro.sweep.service.default_service` (and
+        its shared memo cache), looked up on each call.
     """
 
-    def __init__(
+    config: MachineConfig = field(default_factory=paper_config)
+    service: EvaluationService | None = None
+
+    def evaluate(
         self,
-        topology: SystemTopology | None = None,
-        calibration: DeviceCalibration | None = None,
-        *,
-        prefetcher_enabled: bool = True,
-        write_combining_enabled: bool = True,
-        config: MachineConfig | None = None,
-        service: object | None = None,
-    ) -> None:
-        if config is not None:
-            if topology is not None or calibration is not None:
-                raise WorkloadError(
-                    "pass either config= or topology/calibration, not both"
-                )
-            self.config = config
-        elif (
-            topology is None
-            and calibration is None
-            and prefetcher_enabled
-            and write_combining_enabled
-        ):
-            # The common default case shares the cached paper config (and
-            # thereby its one-time calibration validation and cache keys).
-            self.config = paper_config()
-        else:
-            kwargs: dict[str, object] = {
-                "prefetcher_enabled": prefetcher_enabled,
-                "write_combining_enabled": write_combining_enabled,
-            }
-            if topology is not None:
-                kwargs["topology"] = topology
-            if calibration is not None:
-                kwargs["calibration"] = calibration
-            self.config = MachineConfig(**kwargs)  # type: ignore[arg-type]
-        self._service = service
-        self.directory = CoherenceDirectory()
-
-    # ------------------------------------------------------------------
-    # delegated configuration views
-    # ------------------------------------------------------------------
-
-    @property
-    def topology(self) -> SystemTopology:
-        return self.config.topology
-
-    @property
-    def calibration(self) -> DeviceCalibration:
-        return self.config.calibration
-
-    @property
-    def prefetcher(self) -> PrefetcherModel:
-        return components(self.config).prefetcher
-
-    @property
-    def write_combining(self) -> WriteCombiningModel:
-        return components(self.config).write_combining
-
-    @property
-    def read_buffer(self) -> ReadBufferModel:
-        return components(self.config).read_buffer
-
-    @property
-    def upi(self) -> UpiModel:
-        return components(self.config).upi
-
-    @property
-    def imc(self) -> ImcModel:
-        return components(self.config).imc
-
-    @property
-    def scheduler(self) -> SchedulerModel:
-        return components(self.config).scheduler
-
-    @property
-    def service(self):
-        """The evaluation service this façade routes through."""
-        if self._service is not None:
-            return self._service
-        from repro.sweep.service import default_service
-
-        return default_service()
-
-    # ------------------------------------------------------------------
-    # directory state
-    # ------------------------------------------------------------------
-
-    def reset_directory(self) -> None:
-        """Forget all cross-socket mappings (next far reads run cold)."""
-        self.directory = CoherenceDirectory()
-
-    def warm_directory(self) -> None:
-        """Pre-touch every socket pair (models a priming pass, §3.4)."""
-        for a in self.topology.sockets:
-            for b in self.topology.sockets:
-                self.directory.touch(a.socket_id, b.socket_id)
-
-    def directory_state(self) -> DirectoryState:
-        """The mutable directory's contents as an immutable state value."""
-        return DirectoryState(self.directory.warm_pairs)
-
-    # ------------------------------------------------------------------
-    # evaluation
-    # ------------------------------------------------------------------
-
-    def evaluate(self, streams: list[StreamSpec] | tuple[StreamSpec, ...]) -> BandwidthResult:
+        streams: list[StreamSpec] | tuple[StreamSpec, ...],
+        directory: DirectoryState | None = None,
+    ) -> BandwidthResult:
         """Evaluate concurrent streams, resolving shared-resource effects.
 
-        Delegates to the pure core via the evaluation service (see
+        ``directory`` defaults to the cold state; see
         :func:`repro.memsim.evaluation.evaluate` for the interaction
-        rules), then replays the resulting directory warm-up onto this
-        façade's mutable :class:`CoherenceDirectory` so repeated far
-        reads behave exactly as before the refactor.
+        rules and for :attr:`~BandwidthResult.directory_after`, the state
+        a chained second run starts from.
         """
-        result = self.service.evaluate(
-            self.config, tuple(streams), self.directory_state()
-        )
-        if result.directory_after is not None:
-            for reader, home in sorted(result.directory_after.warm_pairs):
-                self.directory.touch(reader, home)
-        return result
+        service = self.service
+        if service is None:
+            from repro.sweep.service import default_service
+
+            service = default_service()
+        return service.evaluate(self.config, tuple(streams), directory)
 
     # ------------------------------------------------------------------
-    # convenience entry points (used by figures, examples, and the SSB
-    # cost model)
+    # convenience entry points (used by figures, examples, and the
+    # insight checks)
     # ------------------------------------------------------------------
 
     def sequential_read(
@@ -226,16 +89,13 @@ class BandwidthModel:
     ) -> float:
         """Bandwidth of one sequential read stream, GB/s.
 
-        ``warm=True`` pre-touches the coherence directory so a far read
-        runs at warm speed; ``warm=False`` leaves the directory state as
-        it is — a first far read then runs cold and a repeat of the same
-        call runs warm, exactly like the paper's "Far" vs "2nd Far"
-        measurements (§3.4). Use :meth:`reset_directory` to force the
-        cold state again.
+        A far read runs against a warm coherence directory by default
+        (steady state, §3.4); ``warm=False`` runs it against the cold
+        directory, the paper's first-run "Far" measurement. For the
+        "2nd Far" run, chain :meth:`evaluate` through the first result's
+        ``directory_after``.
         """
         target = 1 if far else 0
-        if far and warm:
-            self.directory.touch(0, target)
         spec = StreamSpec(
             op=Op.READ,
             threads=threads,
@@ -248,7 +108,11 @@ class BandwidthModel:
             dax_mode=dax_mode,
             prefaulted=prefaulted,
         )
-        return self.evaluate([spec]).total_gbps
+        if far and warm:
+            directory = DirectoryState.warm(self.config.topology)
+        else:
+            directory = DirectoryState.cold()
+        return self.evaluate([spec], directory).total_gbps
 
     def sequential_write(
         self,
@@ -352,21 +216,3 @@ class BandwidthModel:
             read_alone_gbps=read_alone,
             write_alone_gbps=write_alone,
         )
-
-
-def effective_threads(threads: int, physical_cores: int) -> float:
-    """Public helper mirroring the scheduler's hyperthread yield."""
-    if threads < 1 or physical_cores < 1:
-        raise WorkloadError("threads and cores must be >= 1")
-    extra = max(0, threads - physical_cores)
-    return min(threads, physical_cores) + 0.25 * extra
-
-
-def ssd_scan_bandwidth(cal: DeviceCalibration) -> float:
-    """Sequential scan bandwidth of the reference NVMe SSD, GB/s."""
-    return cal.ssd.seq_read_max
-
-
-def is_finite_bandwidth(value: float) -> bool:
-    """Guard used by tests: a GB/s bandwidth must be finite and non-negative."""
-    return math.isfinite(value) and value >= 0.0

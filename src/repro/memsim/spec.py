@@ -104,12 +104,3 @@ class StreamSpec:
         """Return a copy with fields replaced (convenience for sweeps)."""
         return replace(self, **changes)
 
-
-def read_stream(threads: int, **kwargs: object) -> StreamSpec:
-    """Shorthand for a sequential read stream."""
-    return StreamSpec(op=Op.READ, threads=threads, **kwargs)
-
-
-def write_stream(threads: int, **kwargs: object) -> StreamSpec:
-    """Shorthand for a sequential write stream."""
-    return StreamSpec(op=Op.WRITE, threads=threads, **kwargs)

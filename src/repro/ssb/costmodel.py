@@ -46,6 +46,7 @@ from repro.memsim.spec import Pattern
 from repro.obs import Recorder, default_recorder
 from repro.ssb.engine.traffic import OperatorTraffic, QueryTraffic
 from repro.ssb.storage import SystemProfile
+from repro.sweep.service import default_service
 from repro.units import GB, GIB, NS
 
 #: Last-level cache per socket (Xeon Gold 5220S: 24.75 MB).
@@ -125,7 +126,9 @@ class SsbCostModel:
             raise ConfigurationError("CPU cost must be positive")
         self.model = model if model is not None else BandwidthModel()
         self.config = self.model.config
-        self.service = self.model.service
+        self.service = (
+            self.model.service if self.model.service is not None else default_service()
+        )
         # All pricing is steady-state: far accesses are evaluated against
         # an explicitly warm coherence directory instead of mutating the
         # model (the cold path is Fig. 5's subject, not SSB's).

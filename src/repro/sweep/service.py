@@ -2,8 +2,9 @@
 
 The service is the single funnel through which the reproduction
 evaluates bandwidth: experiments, the SSB cost model, the optimizer, the
-advisor, and the deprecated :class:`~repro.memsim.BandwidthModel` façade
-all call :meth:`EvaluationService.evaluate`. Because the core is pure,
+advisor, and :class:`~repro.memsim.BandwidthModel` (the convenience
+entry point over ``evaluate(config, streams, DirectoryState)``) all
+call :meth:`EvaluationService.evaluate`. Because the core is pure,
 identical requests return identical (cached) results — the optimizer and
 the sensitivity analysis re-price the same grid points constantly, and
 regenerating a figure twice in one process is nearly free.

@@ -8,7 +8,7 @@ from repro.core import (
     practices_report,
     verify_practices,
 )
-from repro.memsim import BandwidthModel
+from repro.memsim import BandwidthModel, MachineConfig
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +69,6 @@ class TestPracticesAreFalsifiable:
                 write_interference_coeff=1e-6,
             ),
         )
-        model = BandwidthModel(calibration=broken)
+        model = BandwidthModel(MachineConfig(calibration=broken))
         results = verify_practices(model)
         assert not results[5]

@@ -52,5 +52,5 @@ class TestAllInsightsHold:
         assert set(results) == set(range(1, 13))
         assert all(results.values())
 
-    def test_verify_all_default_model(self):
+    def test_verify_all_without_a_model(self):
         assert all(verify_all().values())

@@ -83,7 +83,6 @@ class TestTune:
         assert result.best.spec.access_size == 4096
 
     def test_spec_overrides_fix_fields(self, model):
-        model.warm_directory()
         result = tune(
             Op.READ,
             model=model,

@@ -7,20 +7,28 @@ these tests exercise single-socket and denser configurations.
 import pytest
 
 from repro.errors import TopologyError
-from repro.memsim import BandwidthModel, MediaKind, Op, StreamSpec, build_topology
+from repro.memsim import (
+    BandwidthModel,
+    DirectoryState,
+    MachineConfig,
+    MediaKind,
+    Op,
+    StreamSpec,
+    build_topology,
+)
 from repro.memsim.scheduler import PinningPolicy
 from repro.units import GIB
 
 
 @pytest.fixture(scope="module")
 def single_socket():
-    return BandwidthModel(build_topology(sockets=1))
+    return BandwidthModel(MachineConfig(build_topology(sockets=1)))
 
 
 @pytest.fixture(scope="module")
 def big_socket():
     # A hypothetical 28-core part with the same memory complement.
-    return BandwidthModel(build_topology(physical_cores_per_socket=28))
+    return BandwidthModel(MachineConfig(build_topology(physical_cores_per_socket=28)))
 
 
 class TestSingleSocket:
@@ -45,7 +53,8 @@ class TestSingleSocket:
         assert outcome.write_gbps > 0
 
     def test_warm_directory_is_noop(self, single_socket):
-        single_socket.warm_directory()  # must not raise
+        warm = DirectoryState.warm(single_socket.config.topology)
+        assert warm == DirectoryState.cold()
 
 
 class TestBiggerSocket:
@@ -69,9 +78,8 @@ class TestBiggerSocket:
 
 class TestCustomCapacity:
     def test_larger_dimms_change_capacity_not_bandwidth(self):
-        big = BandwidthModel(build_topology(pmem_dimm_capacity=512 * GIB))
-        small = BandwidthModel(build_topology(pmem_dimm_capacity=128 * GIB))
-        assert big.topology.capacity(MediaKind.PMEM) == 4 * small.topology.capacity(
-            MediaKind.PMEM
-        )
+        big = BandwidthModel(MachineConfig(build_topology(pmem_dimm_capacity=512 * GIB)))
+        small = BandwidthModel(MachineConfig(build_topology(pmem_dimm_capacity=128 * GIB)))
+        big_pmem = big.config.topology.capacity(MediaKind.PMEM)
+        assert big_pmem == 4 * small.config.topology.capacity(MediaKind.PMEM)
         assert big.sequential_read(18, 4096) == small.sequential_read(18, 4096)

@@ -5,9 +5,25 @@ locations, orderings, and ratio bands. Absolute values are checked only
 against the calibration anchors the model was fitted to.
 """
 
+import dataclasses
+
 import pytest
 
-from repro.memsim import BandwidthModel, DaxMode, Layout, MediaKind, PinningPolicy
+from repro.memsim import (
+    BandwidthModel,
+    DaxMode,
+    DirectoryState,
+    Layout,
+    MachineConfig,
+    MediaKind,
+    Op,
+    PinningPolicy,
+    StreamSpec,
+)
+
+
+def far_read(threads):
+    return StreamSpec(op=Op.READ, threads=threads, issuing_socket=0, target_socket=1)
 
 
 @pytest.fixture
@@ -43,7 +59,7 @@ class TestFig3AccessSize:
         assert b2k < b4k
 
     def test_disabling_prefetcher_removes_dip(self):
-        model = BandwidthModel(prefetcher_enabled=False)
+        model = BandwidthModel(MachineConfig(prefetcher_enabled=False))
         b1k = model.sequential_read(36, 1024, layout=Layout.GROUPED)
         b2k = model.sequential_read(36, 2048, layout=Layout.GROUPED)
         b4k = model.sequential_read(36, 4096, layout=Layout.GROUPED)
@@ -94,7 +110,7 @@ class TestFig3ThreadCount:
 
     def test_disabled_prefetcher_restores_36_thread_peak(self):
         # §3.2: with the prefetcher disabled, 36 threads also reach ~40.
-        model = BandwidthModel(prefetcher_enabled=False)
+        model = BandwidthModel(MachineConfig(prefetcher_enabled=False))
         assert model.sequential_read(36, 4096) == pytest.approx(40.0, rel=0.05)
 
 
@@ -136,16 +152,13 @@ class TestFig5NumaEffects:
         assert model.sequential_read(18, 4096) == pytest.approx(40.0, rel=0.05)
 
     def test_cold_far_is_5x_worse(self, model):
-        model.reset_directory()
         cold = model.sequential_read(18, 4096, far=True, warm=False)
         near = model.sequential_read(18, 4096)
         assert near / cold >= 4.5
 
     def test_cold_far_optimum_shifts_to_4_threads(self, model):
-        model.reset_directory()
         curve = {}
         for t in (1, 4, 8, 18, 36):
-            model.reset_directory()
             curve[t] = model.sequential_read(t, 4096, far=True, warm=False)
         assert max(curve, key=curve.get) == 4
 
@@ -154,12 +167,36 @@ class TestFig5NumaEffects:
         assert warm == pytest.approx(33.0, rel=0.05)
 
     def test_second_run_is_warm(self, model):
-        # The directory remembers the first traversal: re-evaluating the
-        # same far stream jumps from ~8 to ~33 GB/s (Fig. 5 "2nd Far").
-        model.reset_directory()
+        # The first run's directory_after remembers the traversal: chaining
+        # it into a re-evaluation of the same far stream jumps from ~8 to ~33 GB/s (Fig. 5 "2nd Far").
+        first = model.evaluate([far_read(18)], DirectoryState.cold())
+        second = model.evaluate([far_read(18)], first.directory_after)
+        assert second.total_gbps > 3 * first.total_gbps
+
+    def test_single_thread_priming_warms_the_pair(self, model):
+        # §3.4: a single-threaded far read eliminates the multi-threaded
+        # first-run penalty, because any traversal warms the pair.
+        cold = model.evaluate([far_read(18)], DirectoryState.cold()).total_gbps
+        priming = model.evaluate([far_read(1)], DirectoryState.cold())
+        primed = model.evaluate([far_read(18)], priming.directory_after)
+        assert primed.total_gbps > 3 * cold
+
+
+class TestModelHandle:
+    def test_fields_are_config_and_service(self):
+        assert [f.name for f in dataclasses.fields(BandwidthModel)] == [
+            "config", "service",
+        ]
+
+    def test_frozen(self, model):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.config = MachineConfig()
+
+    def test_repeated_cold_far_reads_agree(self, model):
+        # The model keeps no directory state: a cold far read does not
+        # warm the next one.
         first = model.sequential_read(18, 4096, far=True, warm=False)
-        second = model.sequential_read(18, 4096, far=True, warm=False)
-        assert second > 3 * first
+        assert model.sequential_read(18, 4096, far=True, warm=False) == first
 
 
 class TestDaxModes:

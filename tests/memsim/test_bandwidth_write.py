@@ -2,7 +2,16 @@
 
 import pytest
 
-from repro.memsim import BandwidthModel, Layout, MediaKind, PinningPolicy
+from repro.memsim import (
+    BandwidthModel,
+    DirectoryState,
+    Layout,
+    MachineConfig,
+    MediaKind,
+    Op,
+    PinningPolicy,
+    StreamSpec,
+)
 
 
 @pytest.fixture
@@ -84,7 +93,7 @@ class TestFig8Boomerang:
         # Without the combining buffer every store is a read-modify-write
         # and even the friendly configurations collapse.
         on = BandwidthModel()
-        off = BandwidthModel(write_combining_enabled=False)
+        off = BandwidthModel(MachineConfig(write_combining_enabled=False))
         assert off.sequential_write(4, 4096) < 0.5 * on.sequential_write(4, 4096)
 
 
@@ -166,10 +175,10 @@ class TestFig10FarWrites:
 
     def test_no_warmup_for_writes(self, model):
         # §4.4: "Unlike reading, we do not observe any warm-up effect".
-        model.reset_directory()
-        first = model.sequential_write(8, 4096, far=True)
-        second = model.sequential_write(8, 4096, far=True)
-        assert first == pytest.approx(second)
+        spec = StreamSpec(op=Op.WRITE, threads=8, issuing_socket=0, target_socket=1)
+        first = model.evaluate([spec], DirectoryState.cold())
+        second = model.evaluate([spec], first.directory_after)
+        assert first.total_gbps == pytest.approx(second.total_gbps)
 
 
 class TestDramWrites:

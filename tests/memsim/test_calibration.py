@@ -44,6 +44,10 @@ class TestPaperCalibration:
     def test_ssd_is_slowest(self, cal):
         assert cal.ssd.seq_read_max < cal.pmem.seq_write_max
 
+    def test_ssd_footnote_value(self, cal):
+        # §6.2 footnote: Intel DC P4610, 3.20 GB/s sequential read.
+        assert cal.ssd.seq_read_max == pytest.approx(3.2)
+
 
 class TestValidationRejectsBadProfiles:
     def _with_pmem(self, cal, **changes):

@@ -66,6 +66,11 @@ class TestDirectoryState:
         assert touched.is_warm(0, 1)
         assert not cold.is_warm(0, 1)  # original untouched
 
+    def test_warmth_is_directional(self):
+        touched = DirectoryState.cold().touch(0, 1)
+        assert touched.is_warm(0, 1)
+        assert not touched.is_warm(1, 0)
+
     def test_touch_is_idempotent(self):
         touched = DirectoryState.cold().touch(0, 1)
         assert touched.touch(0, 1) is touched

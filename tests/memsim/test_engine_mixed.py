@@ -63,7 +63,7 @@ class TestEmergentInterference:
 
     def test_combined_below_read_max(self):
         result = _mixed(write_threads=6, read_threads=18)
-        read_max = BandwidthModel().calibration.pmem.seq_read_max
+        read_max = BandwidthModel().config.calibration.pmem.seq_read_max
         assert result.total_gbps <= read_max * 1.02
 
     def test_deterministic(self):

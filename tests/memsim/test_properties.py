@@ -5,7 +5,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.memsim import BandwidthModel, Layout, MediaKind
+from repro.memsim import BandwidthModel, DirectoryState, Layout, MediaKind, Op, StreamSpec
 from repro.memsim.address import InterleaveMap
 from repro.memsim.buffers import WriteCombiningModel
 from repro.memsim.calibration import paper_calibration
@@ -68,10 +68,10 @@ class TestFarVsNear:
     @given(threads=thread_counts)
     @settings(max_examples=30, deadline=None)
     def test_cold_far_never_beats_warm_far(self, threads):
-        _MODEL.reset_directory()
-        cold = _MODEL.sequential_read(threads, 4096, far=True, warm=False)
-        warm = _MODEL.sequential_read(threads, 4096, far=True, warm=True)
-        assert cold <= warm * 1.001
+        far = StreamSpec(op=Op.READ, threads=threads, issuing_socket=0, target_socket=1)
+        cold = _MODEL.evaluate([far], DirectoryState.cold())
+        warm = _MODEL.evaluate([far], cold.directory_after)
+        assert cold.total_gbps <= warm.total_gbps * 1.001
 
     @given(threads=thread_counts)
     @settings(max_examples=30, deadline=None)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import WorkloadError
-from repro.memsim import Layout, MediaKind, Op, StreamSpec, read_stream, write_stream
+from repro.memsim import Layout, MediaKind, Op, StreamSpec
 from repro.memsim.scheduler import PinningPolicy
 
 
@@ -53,15 +53,3 @@ class TestProperties:
         assert spec.layout is Layout.INDIVIDUAL
         assert spec.pinning is PinningPolicy.CORES
         assert spec.media is MediaKind.PMEM
-
-
-class TestShorthands:
-    def test_read_stream(self):
-        spec = read_stream(8, access_size=256)
-        assert spec.op is Op.READ
-        assert spec.threads == 8
-        assert spec.access_size == 256
-
-    def test_write_stream(self):
-        spec = write_stream(4)
-        assert spec.op is Op.WRITE

@@ -1,10 +1,10 @@
-"""Tests for the UPI link and coherence-directory model."""
+"""Tests for the UPI link model."""
 
 import pytest
 
 from repro.errors import SimulationError, WorkloadError
 from repro.memsim.calibration import paper_calibration
-from repro.memsim.upi import CoherenceDirectory, UpiModel
+from repro.memsim.upi import UpiModel
 
 
 @pytest.fixture(scope="module")
@@ -15,41 +15,6 @@ def cal():
 @pytest.fixture(scope="module")
 def upi(cal):
     return UpiModel(cal.upi, cal.pmem)
-
-
-class TestDirectory:
-    def test_local_access_is_always_warm(self):
-        directory = CoherenceDirectory()
-        assert directory.is_warm(0, 0)
-
-    def test_far_access_starts_cold(self):
-        directory = CoherenceDirectory()
-        assert not directory.is_warm(0, 1)
-
-    def test_touch_warms_the_pair(self):
-        directory = CoherenceDirectory()
-        directory.touch(0, 1)
-        assert directory.is_warm(0, 1)
-
-    def test_warmth_is_directional(self):
-        directory = CoherenceDirectory()
-        directory.touch(0, 1)
-        assert not directory.is_warm(1, 0)
-
-    def test_single_thread_priming_counts(self):
-        # §3.4: a single-threaded far read eliminates the multi-threaded
-        # warm-up penalty — any touch warms the pair.
-        directory = CoherenceDirectory()
-        directory.touch(0, 1)
-        assert directory.is_warm(0, 1)
-
-    def test_invalidate_by_home_socket(self):
-        directory = CoherenceDirectory()
-        directory.touch(0, 1)
-        directory.touch(1, 0)
-        directory.invalidate(1)
-        assert not directory.is_warm(0, 1)
-        assert directory.is_warm(1, 0)
 
 
 class TestColdFarCap:

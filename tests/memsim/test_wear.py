@@ -66,7 +66,6 @@ class TestFromCounters:
         # Far writes at high thread counts carry the §4.4 amplification,
         # which shows up directly in the endurance estimate.
         model = BandwidthModel()
-        model.warm_directory()
         near = model.evaluate(
             [StreamSpec(op=Op.WRITE, threads=4, pinning=PinningPolicy.NUMA_REGION)]
         )

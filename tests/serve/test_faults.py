@@ -9,7 +9,7 @@ sleep. TCP tests use real localhost sockets but poll loop iterations
 import asyncio
 
 from repro.memsim.config import paper_config
-from repro.memsim.spec import read_stream
+from repro.memsim.spec import Op, StreamSpec
 from repro.serve import ServeConfig, protocol
 from repro.sweep.service import EvaluationService
 
@@ -61,7 +61,7 @@ class TestPoisonedBatch:
         for threads, response in ((2, good_a), (4, good_b)):
             assert response["ok"]
             expected = protocol.encode_result(
-                serial.evaluate(paper_config(), (read_stream(threads),))
+                serial.evaluate(paper_config(), (StreamSpec(op=Op.READ, threads=threads),))
             )
             assert response["result"] == expected
         assert server.stats.errors == 1

@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import ServeError
 from repro.memsim.config import DirectoryState, paper_config
-from repro.memsim.spec import MediaKind, Op, Pattern, StreamSpec, read_stream
+from repro.memsim.spec import MediaKind, Op, Pattern, StreamSpec
 from repro.serve import protocol
 from repro.sweep.service import EvaluationService
 
@@ -26,7 +26,7 @@ class TestDecode:
             {"kind": "evaluate", "streams": [{"op": "read", "threads": 4}]}
         )
         assert request.kind == "evaluate"
-        assert request.streams == (read_stream(4),)
+        assert request.streams == (StreamSpec(op=Op.READ, threads=4),)
         assert request.config is paper_config()
         assert request.directory == DirectoryState.cold()
         assert request.deadline_seconds is None
@@ -117,9 +117,9 @@ class TestEncode:
         service = EvaluationService(disk_cache=None)
         config = paper_config()
         points = [
-            (read_stream(4),),
-            (read_stream(8, issuing_socket=0, target_socket=1),),
-            (read_stream(2), StreamSpec(op=Op.WRITE, threads=2)),
+            (StreamSpec(op=Op.READ, threads=4),),
+            (StreamSpec(op=Op.READ, threads=8, issuing_socket=0, target_socket=1),),
+            (StreamSpec(op=Op.READ, threads=2), StreamSpec(op=Op.WRITE, threads=2)),
         ]
         columns = service.evaluate_grid_columns(config, points)
         for include in (False, True):
@@ -134,7 +134,7 @@ class TestEncode:
 
     def test_result_payload_shape(self):
         service = EvaluationService(disk_cache=None)
-        result = service.evaluate(paper_config(), (read_stream(4),))
+        result = service.evaluate(paper_config(), (StreamSpec(op=Op.READ, threads=4),))
         payload = protocol.encode_result(result, include_counters=True)
         assert payload["total_gbps"] == result.total_gbps
         assert payload["streams"][0]["gbps"] == result.streams[0].gbps

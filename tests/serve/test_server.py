@@ -3,7 +3,7 @@
 import asyncio
 
 from repro.memsim.config import paper_config
-from repro.memsim.spec import read_stream
+from repro.memsim.spec import Op, StreamSpec
 from repro.obs import CountersRecorder
 from repro.serve import BandwidthServer, ServeConfig, protocol
 from repro.serve.client import ServeClient, request_once
@@ -64,7 +64,7 @@ class TestCoalescing:
         serial = EvaluationService(disk_cache=None)
         for threads, response in zip((2, 4, 8), responses):
             expected = protocol.encode_result(
-                serial.evaluate(paper_config(), (read_stream(threads),))
+                serial.evaluate(paper_config(), (StreamSpec(op=Op.READ, threads=threads),))
             )
             assert response["result"] == expected
 
@@ -146,7 +146,7 @@ class TestOtherKinds:
         serial = EvaluationService(disk_cache=None)
         for threads, payload in zip((2, 4), points):
             expected = protocol.encode_result(
-                serial.evaluate(paper_config(), (read_stream(threads),))
+                serial.evaluate(paper_config(), (StreamSpec(op=Op.READ, threads=threads),))
             )
             assert payload == expected
 
@@ -187,7 +187,7 @@ class TestTcpSmoke:
         assert response["id"] == "smoke"
         serial = EvaluationService(disk_cache=None)
         expected = protocol.encode_result(
-            serial.evaluate(paper_config(), (read_stream(4),))
+            serial.evaluate(paper_config(), (StreamSpec(op=Op.READ, threads=4),))
         )
         assert response["result"] == expected
         assert server.stats.completed == 1

@@ -93,27 +93,43 @@ class TestSchema:
         assert json.loads(path.read_text()) == payload
 
 
-class TestBenchAssertsInTier1:
-    def test_sweep_service_bench_passes_with_benchmarks_disabled(self):
-        """The bench's identity and hit-rate asserts hold in one-shot mode.
+def _run_bench_disabled(name: str) -> str:
+    """Run one bench file once under ``--benchmark-disable``; its stdout."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src"), str(root), env.get("PYTHONPATH", "")]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", str(root / "benchmarks" / name),
+         "--benchmark-disable", "-p", "no:cacheprovider",
+         "--override-ini", "addopts=", "-q"],
+        capture_output=True, text=True, timeout=300, env=env, cwd=root,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    return proc.stdout
 
-        ``--benchmark-disable`` runs each benchmarked callable exactly
-        once, so an assertion that depends on the round count fails here.
-        """
-        root = Path(__file__).resolve().parents[1]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(root / "src"), str(root), env.get("PYTHONPATH", "")]
-        )
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest",
-             str(root / "benchmarks" / "bench_sweep_service.py"),
-             "--benchmark-disable", "-p", "no:cacheprovider",
-             "--override-ini", "addopts=", "-q"],
-            capture_output=True, text=True, timeout=300, env=env, cwd=root,
-        )
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "2 passed" in proc.stdout
+
+class TestBenchAssertsInTier1:
+    """Bench asserts hold in one-shot mode.
+
+    ``--benchmark-disable`` runs each benchmarked callable exactly once,
+    so an assertion that depends on the round count fails here.
+    """
+
+    def test_sweep_service_bench_passes_with_benchmarks_disabled(self):
+        """The bench's identity and hit-rate asserts hold in one-shot mode."""
+        assert "2 passed" in _run_bench_disabled("bench_sweep_service.py")
+
+    @pytest.mark.parametrize("name,passed", [
+        ("bench_ablation_warm_directory.py", 1),
+        ("bench_ablation_prefetcher.py", 1),
+        ("bench_ablation_write_combining.py", 1),
+        ("bench_memory_mode_and_wear.py", 2),
+    ])
+    def test_model_bench_passes_with_benchmarks_disabled(self, name, passed):
+        """Benches built on ``BandwidthModel`` run in tier-1 too."""
+        assert f"{passed} passed" in _run_bench_disabled(name)
 
 
 class TestSmokeRun:

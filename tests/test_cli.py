@@ -50,7 +50,21 @@ class TestBandwidth:
         assert main(
             ["bandwidth", "--pattern", "random", "--size", "256", "--threads", "36"]
         ) == 0
-        assert "random" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "random" in out
+        # The random path takes no layout, pinning or locality.
+        assert "(pmem)" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["--pattern", "random", "--far"],
+        ["--op", "write", "--far", "--cold"],
+        ["--cold"],
+    ], ids=["random-far", "write-cold", "near-cold"])
+    def test_meaningless_options_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bandwidth", *argv])
+        assert excinfo.value.code == 2
+        assert "applies to" in capsys.readouterr().err
 
     def test_dram_grouped(self, capsys):
         assert main(

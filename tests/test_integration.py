@@ -18,6 +18,7 @@ from repro import (
 )
 from repro.core import AccessProfile, economics, tune
 from repro.core.hybrid import HybridPlanner, ssb_structures
+from repro.memsim import MachineConfig
 from repro.memsim.spec import Op
 from repro.ssb.runner import SsbRunner, average_slowdown
 from repro.ssb.storage import HANDCRAFTED_DRAM, HANDCRAFTED_PMEM, HYBRID_PMEM_DRAM
@@ -26,7 +27,7 @@ from repro.units import GIB
 
 @pytest.fixture(scope="module")
 def model():
-    return BandwidthModel(paper_server())
+    return BandwidthModel(MachineConfig(paper_server()))
 
 
 @pytest.fixture(scope="module")
