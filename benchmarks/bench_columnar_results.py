@@ -2,25 +2,20 @@
 
 The SoA refactor's whole claim is that a sweep's results never exist as
 per-point objects between the kernel and the consumer. These benches
-time the three legs that claim rides on, on the shared Figure 3 grid:
+time the two legs that claim rides on, on the shared Figure 3 grid:
 
 * ``run_columns`` through the vector backend — the end-to-end producer
   path (kernel batch -> service assembly -> runner), totals read
   straight off the batch;
 * the v2 disk-cache round trip — one content-addressed block write for
   the whole grid, then per-digest ``get_ref`` lookups resolving into
-  the shared in-memory block;
-* the pickle boundary — the cost a :mod:`repro.sweep.cluster` worker
-  pays to ship a chunk's results back to the coordinator as one column
-  block.
+  the shared in-memory block.
 
 Each bench asserts the columnar values against the materialized views
 (same floats), so the smoke run doubles as an identity check.
 """
 
 from __future__ import annotations
-
-import pickle
 
 from repro.memsim import paper_config
 from repro.memsim.kernels import ResultColumns
@@ -64,16 +59,3 @@ def test_disk_cache_block_round_trip(benchmark, fig3_grid, tmp_path):
     # Every ref resolves into the same shared block, loaded once.
     assert blocks == 1
     benchmark.extra_info["points"] = len(points)
-
-
-def test_column_block_pickle_boundary(benchmark, fig3_grid):
-    """Ship a grid's results across the cluster wire boundary and back."""
-    _, columns = _columns_for(fig3_grid)
-
-    def ship() -> ResultColumns:
-        return pickle.loads(pickle.dumps(columns))
-
-    shipped = benchmark(ship)
-    assert shipped == columns
-    assert shipped.total_gbps() == columns.total_gbps()
-    benchmark.extra_info["block_bytes"] = len(pickle.dumps(columns))

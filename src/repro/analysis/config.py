@@ -39,27 +39,14 @@ DEFAULT_ALLOWED_RAISES: tuple[str, ...] = (
 #: Purity roots for SIM201: fnmatch patterns over fully-qualified function
 #: names. Everything reachable from a root through the call graph must be
 #: free of shared-state writes — this is the contract the memo cache, the
-#: parallel backend, and the bit-identity tests all assume.
+#: serving layer's request coalescing, and the bit-identity tests all
+#: assume.
 DEFAULT_PURITY_ROOTS: tuple[str, ...] = (
     "repro.memsim.evaluation.evaluate",
     "repro.memsim.kernels.*",
     "repro.memsim.context.EvalContext.*",
     "repro.memsim.context.eval_context",
     "repro.memsim.context._build_context",
-)
-
-#: Types that cross the :mod:`repro.sweep.cluster` wire boundary
-#: (pickled into workers or back): SIM202 checks them — and every type
-#: reachable through their field annotations — for pickle-hostile state.
-DEFAULT_PICKLE_BOUNDARY: tuple[str, ...] = (
-    "repro.memsim.config.MachineConfig",
-    "repro.memsim.config.DirectoryState",
-    "repro.memsim.evaluation.BandwidthResult",
-    "repro.memsim.evaluation.StreamResult",
-    "repro.memsim.kernels.columns.ResultColumns",
-    "repro.workloads.grids.SweepPoint",
-    "repro.errors.SweepError",
-    "repro.errors.GridPointError",
 )
 
 #: Module defining the counter catalogue (``CATALOG`` of specs) that
@@ -108,8 +95,6 @@ class SimlintConfig:
     disable: tuple[str, ...] = ()
     #: SIM201 roots (fnmatch patterns over full function names).
     purity_roots: tuple[str, ...] = DEFAULT_PURITY_ROOTS
-    #: SIM202 seed types (full class names) crossing the pickle boundary.
-    pickle_boundary: tuple[str, ...] = DEFAULT_PICKLE_BOUNDARY
     #: SIM203 catalogue module (dotted); empty string disables the pass.
     counter_catalog: str = DEFAULT_COUNTER_CATALOG
 
@@ -163,7 +148,6 @@ _LIST_KEYS = {
     "allowed_raises",
     "disable",
     "purity_roots",
-    "pickle_boundary",
 }
 
 _STR_KEYS = {"baseline", "counter_catalog"}

@@ -32,7 +32,7 @@ from repro.analysis.program.summary import (
     summarize_module,
 )
 
-#: Maximum re-export hops (``from repro.obs import merge_snapshot`` in an
+#: Maximum re-export hops (``from repro.obs import CountersRecorder`` in an
 #: ``__init__`` that itself imports from ``recorder``) followed during
 #: resolution before giving up.
 _MAX_REEXPORT_HOPS = 5

@@ -17,10 +17,9 @@ spec constructor inside the ``CATALOG`` assignment — so the pass works
 on fixture projects with their own miniature catalogues too.
 
 Sites whose name flows in through a parameter are skipped rather than
-resolved: every such helper in the tree (``CountersRecorder.observe``
-forwarding to ``incr``, ``merge_snapshot`` replaying a snapshot) is
-re-emitting a name that some literal/f-string site already produced, so
-chasing callers would only duplicate verdicts.
+resolved: such a helper only re-emits a name that some literal/f-string
+site already produced, so chasing callers would only duplicate
+verdicts.
 """
 
 from __future__ import annotations

@@ -2,11 +2,12 @@
 
 The repo's correctness story leans on :func:`repro.memsim.evaluation.
 evaluate` being a pure function of ``(config, directory, spec)``: the
-memo cache replays results by digest, the cluster assumes workers are
-interchangeable, and the bit-identity tests compare backends point
-by point. Those tests *sample* purity; this pass proves the static half
-of it: no function reachable from a purity root writes module-level or
-nonlocal state, prints, or touches the filesystem.
+memo and disk caches replay results by digest, the serving layer
+coalesces requests from different clients into one batch, and the
+bit-identity tests compare backends point by point. Those tests
+*sample* purity; this pass proves the static half of it: no function
+reachable from a purity root writes module-level or nonlocal state,
+prints, or touches the filesystem.
 
 What counts as an escape is deliberately narrow — the facts recorded by
 :class:`~repro.analysis.program.summary.FunctionSummary.effects`:

@@ -1,7 +1,6 @@
 """Transport-hygiene rule: every wire read needs a frame-size bound.
 
-The serving layer and the cluster sweep backend both speak
-newline-framed JSON over asyncio streams. ``StreamReader.readline``
+The serving layer speaks newline-framed JSON over asyncio streams. ``StreamReader.readline``
 honours the stream's ``limit`` — but only if the stream was *created*
 with one sized to the protocol's frames; the 64 KiB default silently
 truncates legitimate large frames, and a raw ``read()``/``recv()``

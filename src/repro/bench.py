@@ -31,11 +31,10 @@ from repro.errors import BenchError
 SCHEMA = "repro.bench/2"
 
 #: The ``--smoke`` subset: fast benches covering the sweep service, the
-#: cluster backend, the columnar result path, the serving layer, and the
-#: per-family vector kernel grids this harness exists to track.
+#: columnar result path, the serving layer, and the per-family vector
+#: kernel grids this harness exists to track.
 SMOKE_BENCHES = (
     "bench_sweep_service.py",
-    "bench_cluster_sweep.py",
     "bench_columnar_results.py",
     "bench_serving.py",
     "bench_vector_families.py",

@@ -35,9 +35,6 @@ Commands
 ``request``
     Send one JSON request frame to a running server and print the
     response.
-``worker``
-    Run a standing cluster sweep worker (``repro.sweep.cluster``) that
-    coordinators reach with ``repro run --backend cluster --connect``.
 """
 
 from __future__ import annotations
@@ -75,22 +72,12 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="experiment ids, e.g. fig7 table1")
     # The names of repro.sweep.BACKENDS, spelled out so that parsing
     # arguments does not import the sweep layer.
-    run.add_argument("--backend", choices=("serial", "vector", "cluster"),
+    run.add_argument("--backend", choices=("serial", "vector"),
                      default="vector",
                      help="sweep backend: 'vector' (default) batches "
                           "eligible points through the NumPy kernels and "
-                          "keeps results columnar, 'cluster' shards across "
-                          "worker processes with a shared cache and "
-                          "work-stealing, 'serial' evaluates point at a "
-                          "time (all bit-identical)")
-    run.add_argument("--workers", type=_positive_int, default=None, metavar="N",
-                     help="with --backend cluster: local worker processes "
-                          "to spawn (default 2)")
-    run.add_argument("--connect", action="append", metavar="HOST:PORT",
-                     default=None,
-                     help="with --backend cluster: dial a standing 'repro "
-                          "worker' peer instead of spawning locally "
-                          "(repeatable)")
+                          "keeps results columnar, 'serial' evaluates point "
+                          "at a time (both bit-identical)")
     run.add_argument("--cache-dir", metavar="PATH", default=None,
                      help="persist evaluation results under PATH and reuse "
                           "them across runs")
@@ -167,7 +154,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument("benches", nargs="*", metavar="BENCH",
                        help="bench names or substrings, e.g. fig03 "
-                            "cluster (default: the whole suite)")
+                            "serving (default: the whole suite)")
     bench.add_argument("--smoke", action="store_true",
                        help="run the pinned fast subset with one round and "
                             "no warmup (seconds, not minutes)")
@@ -206,17 +193,6 @@ def _build_parser() -> argparse.ArgumentParser:
     request.add_argument("frame", nargs="?", default=None,
                          help="request frame as a JSON object (default: "
                               "read one line from stdin)")
-
-    worker = sub.add_parser(
-        "worker", help="run a standing cluster sweep worker"
-    )
-    worker.add_argument("--host", default="127.0.0.1")
-    worker.add_argument("--port", type=int, default=0,
-                        help="TCP port (default 0: pick an ephemeral port "
-                             "and print it)")
-    worker.add_argument("--cache-dir", metavar="PATH", default=None,
-                        help="persist this worker's evaluation results "
-                             "under PATH across sweeps")
     return parser
 
 
@@ -234,8 +210,6 @@ def _cmd_run(
     cache_dir: str | None = None,
     metrics: bool = False,
     output: str | None = None,
-    workers: int | None = None,
-    connect: Sequence[str] | None = None,
 ) -> int:
     import contextlib
 
@@ -260,22 +234,6 @@ def _cmd_run(
         previous = set_default_service(
             EvaluationService(disk_cache=DiskCache(cache_dir))
         )
-    previous_cluster = None
-    installed_cluster = False
-    if backend == "cluster" and (workers is not None or connect):
-        from repro.sweep.cluster import (
-            ClusterOptions,
-            parse_endpoint,
-            set_default_cluster_options,
-        )
-
-        previous_cluster = set_default_cluster_options(
-            ClusterOptions(
-                workers=workers if workers is not None else 2,
-                connect=tuple(parse_endpoint(text) for text in connect or ()),
-            )
-        )
-        installed_cluster = True
     try:
         with scope:
             for exp_id in experiment_ids:
@@ -285,10 +243,6 @@ def _cmd_run(
     finally:
         if cache_dir is not None:
             set_default_service(previous)
-        if installed_cluster:
-            from repro.sweep.cluster import set_default_cluster_options
-
-            set_default_cluster_options(previous_cluster)
     if recorder is not None:
         from repro.obs.report import render_recorder
 
@@ -530,26 +484,6 @@ def _cmd_request(args: argparse.Namespace) -> int:
     return 0 if response.get("ok") else 1
 
 
-def _cmd_worker(args: argparse.Namespace) -> int:
-    import asyncio
-
-    from repro.sweep.cluster import serve_worker
-
-    async def run() -> int:
-        host, port, server = await serve_worker(
-            args.host, args.port, cache_dir=args.cache_dir
-        )
-        print(f"cluster worker listening on {host}:{port}", flush=True)
-        async with server:
-            await server.serve_forever()
-        return 0
-
-    try:
-        return asyncio.run(run())
-    except KeyboardInterrupt:
-        return 0
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     argv = list(sys.argv[1:] if argv is None else argv)
@@ -570,8 +504,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             cache_dir=args.cache_dir,
             metrics=args.metrics,
             output=args.output,
-            workers=args.workers,
-            connect=args.connect,
         )
     if args.command == "trace":
         return _cmd_trace(args.experiment, args.output, args.timestamps)
@@ -600,8 +532,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _cmd_serve(args)
     if args.command == "request":
         return _cmd_request(args)
-    if args.command == "worker":
-        return _cmd_worker(args)
     raise AssertionError("unreachable")
 
 

@@ -41,8 +41,9 @@ class SweepError(SimulationError):
     """A sweep point failed to evaluate.
 
     Wraps the underlying exception (available as ``__cause__``) and
-    names the failing grid and point label — a worker's traceback alone
-    would not say *which* of a few hundred points was poisoned.
+    names the failing grid and point label — the evaluator's own
+    traceback would not say *which* of a few hundred points was
+    poisoned.
     """
 
 
@@ -71,14 +72,13 @@ class GridPointError(SweepError):
 
     Batched evaluation (``EvaluationService.evaluate_grid_columns``)
     loses the caller's per-point framing, so the service reports *which*
-    input index failed — and, when the sweep backends supply them, the
-    point's label and the grid's name, so the message reads the same
-    whether the failure surfaced inline or inside a worker process.
+    input index failed — and, when the sweep runner supplies them, the
+    point's label and the grid's name, so the message reads the same as
+    the serial backend's :class:`SweepError` for the same point.
 
     ``partial`` preserves the ``ResultColumns`` batch of every point
     that completed before the failure (in ``points`` order), so callers
-    paying for a long sweep keep what was already computed. It crosses
-    the cluster wire (pickle) boundary with the exception.
+    paying for a long sweep keep what was already computed.
     """
 
     def __init__(
@@ -105,27 +105,6 @@ class GridPointError(SweepError):
         self.grid = grid
         #: ``ResultColumns`` of the points completed before the failure.
         self.partial = partial
-
-    def __reduce__(self):
-        # The default exception reduce replays ``__init__(*args)`` with
-        # the stored ``args`` — the formatted message string — which
-        # does not match this signature. Rebuild from the real fields so
-        # the error survives the cluster wire boundary intact.
-        return (
-            _rebuild_grid_point_error,
-            (self.index, self.original, self.label, self.grid, self.partial),
-        )
-
-
-def _rebuild_grid_point_error(
-    index: int,
-    original: Exception,
-    label: "str | None",
-    grid: "str | None",
-    partial: "object | None",
-) -> GridPointError:
-    """Unpickle helper for :class:`GridPointError` (see ``__reduce__``)."""
-    return GridPointError(index, original, label=label, grid=grid, partial=partial)
 
 
 class ServeError(ReproError):

@@ -27,8 +27,8 @@ def evaluate_grid(
     pass their own state values. The default ``"vector"`` backend keeps
     results columnar end-to-end — the totals are read straight off the
     batch, no per-point result object exists anywhere — and is
-    bit-identical to the ``"serial"`` oracle and to ``"cluster"``, which
-    ``backend`` selects instead.
+    bit-identical to the ``"serial"`` oracle, which ``backend`` selects
+    instead.
     """
     if directory is None:
         directory = DirectoryState.warm(model.config.topology)

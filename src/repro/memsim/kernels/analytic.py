@@ -13,7 +13,7 @@ and per-point :class:`~repro.memsim.evaluation.BandwidthResult` objects
 exist only as lazy views built on demand. Materializing the three result
 objects per point used to cost ~4.7 µs under a ~25-30 µs scalar
 baseline — the dominant term once the arithmetic was batched — so the
-columnar path is what the sweep service, cluster, disk cache, and
+columnar path is what the sweep service, disk cache, serving layer and
 experiment consumers all move between themselves.
 
 **Bit-identity contract.** Every elementwise float64 add, subtract,

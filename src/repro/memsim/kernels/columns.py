@@ -22,13 +22,12 @@ makes :meth:`append_from` and :meth:`extend` safe structural sharing:
 the sweep service assembles output batches from cached blocks and fresh
 kernel batches without copying row contents. The view cache itself is
 *never* shared between batches (views hold a mutable
-:class:`~repro.memsim.counters.PerfCounters` a caller may annotate) and
-is dropped on pickling, so column blocks cross the cluster wire and
-disk-cache boundaries as pure data.
+:class:`~repro.memsim.counters.PerfCounters` a caller may annotate), so
+a batch assembled from another batch's rows rebuilds its own views from
+the pure column data.
 
-This module deliberately imports no NumPy: consumers that only ship or
-store column blocks (the sweep cache, the cluster wire) stay off the
-kernel import path.
+This module deliberately imports no NumPy: consumers that only store
+column blocks (the sweep disk cache) stay off the kernel import path.
 """
 
 from __future__ import annotations
@@ -297,17 +296,3 @@ class ResultColumns:
             f"ResultColumns(points={len(self)}, "
             f"streams={len(self.specs)})"
         )
-
-    def __getstate__(self) -> dict[str, object]:
-        # The view cache never crosses a process or disk boundary:
-        # views hold caller-mutable counters, and rebuilding them is
-        # exactly what lazy views are for.
-        state = {name: getattr(self, name) for name in self.__slots__}
-        del state["_views"]
-        return state
-
-    def __setstate__(self, state: dict[str, object]) -> None:
-        for name, value in state.items():
-            setattr(self, name, value)
-        self._views = [None] * (len(self.offsets) - 1)
-

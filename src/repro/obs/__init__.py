@@ -33,7 +33,6 @@ from repro.obs.recorder import (
     NullRecorder,
     Recorder,
     TraceRecorder,
-    merge_snapshot,
 )
 
 _DEFAULT_RECORDER: Recorder | None = None
@@ -77,7 +76,6 @@ __all__ = [
     "Recorder",
     "TraceRecorder",
     "default_recorder",
-    "merge_snapshot",
     "set_default_recorder",
     "using_recorder",
 ]

@@ -116,15 +116,6 @@ CATALOG: tuple[CounterSpec, ...] = (
     CounterSpec("sweep.vector.fallback.empty_count", "count", "fallbacks because the point had no streams"),
     CounterSpec("sweep.vector.fallback.socket_count", "count", "fallbacks because a stream named an unknown or core-less socket"),
     CounterSpec("sweep.vector.fallback.media_count", "count", "fallbacks because the target socket lacks the stream's media"),
-    # -- cluster sweep backend (repro.sweep.cluster) ---------------------
-    CounterSpec("cluster.workers_count", "count", "workers that joined the sweep"),
-    CounterSpec("cluster.chunks.shipped_count", "count", "point chunks shipped to workers"),
-    CounterSpec("cluster.chunks.stolen_count", "count", "chunks re-formed from stolen work"),
-    CounterSpec("cluster.chunks.requeued_count", "count", "chunks requeued from dead workers"),
-    CounterSpec("cluster.heartbeats_count", "count", "worker heartbeat frames received"),
-    CounterSpec("cluster.shared_cache.hits_count", "count", "points served by the coordinator's shared cache"),
-    CounterSpec("cluster.shared_cache.misses_count", "count", "shared-cache lookups that missed"),
-    CounterSpec("cluster.worker.wall_seconds", "seconds", "wall time per worker result frame"),
     # -- serving layer (repro.serve) -------------------------------------
     CounterSpec("serve.requests_count", "count", "request frames dispatched"),
     CounterSpec("serve.shed_count", "count", "requests rejected by admission control"),

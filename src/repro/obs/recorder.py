@@ -129,26 +129,6 @@ class HistogramSummary:
             "max": self.maximum,
         }
 
-    def merge(self, count: int, total: float, minimum: float, maximum: float) -> None:
-        """Fold another summary's state into this one, exactly.
-
-        Count/total/min/max form a commutative monoid: merging the
-        summaries of two disjoint sample streams equals summarising the
-        concatenated stream (up to float addition order on ``total``).
-        This is what lets worker processes ship snapshots instead of
-        individual samples.
-        """
-        if count <= 0:
-            return
-        if self.count == 0:
-            self.minimum = minimum
-            self.maximum = maximum
-        else:
-            self.minimum = min(self.minimum, minimum)
-            self.maximum = max(self.maximum, maximum)
-        self.count += int(count)
-        self.total += float(total)
-
 
 class CountersRecorder:
     """Accumulates named monotonic counters, histograms, and event tallies.
@@ -204,38 +184,6 @@ class CountersRecorder:
             "events": {name: self.event_counts[name] for name in sorted(self.event_counts)},
             "spans": {name: self.span_counts[name] for name in sorted(self.span_counts)},
         }
-
-    def merge_snapshot(self, snapshot: dict[str, object]) -> None:
-        """Fold a :meth:`snapshot` produced elsewhere into this recorder.
-
-        Exact for everything a snapshot carries: counters and event/span
-        tallies add; histograms merge their count/total/min/max monoids
-        (:meth:`HistogramSummary.merge`). The cluster sweep backend uses
-        this to account worker-side emissions in the parent — the
-        merged state equals what a single shared recorder would have
-        accumulated, up to float addition order across workers.
-        """
-        counters = snapshot.get("counters") or {}
-        for name, value in counters.items():
-            self.incr(name, float(value))
-        histograms = snapshot.get("histograms") or {}
-        for name, payload in histograms.items():
-            summary = self.histograms.get(name)
-            if summary is None:
-                summary = HistogramSummary()
-                self.histograms[name] = summary
-            summary.merge(
-                int(payload["count"]),
-                float(payload["total"]),
-                float(payload["min"]),
-                float(payload["max"]),
-            )
-        events = snapshot.get("events") or {}
-        for name, count in events.items():
-            self.event_counts[name] = self.event_counts.get(name, 0) + int(count)
-        spans = snapshot.get("spans") or {}
-        for name, count in spans.items():
-            self.span_counts[name] = self.span_counts.get(name, 0) + int(count)
 
 
 class TraceRecorder:
@@ -313,48 +261,3 @@ class TraceRecorder:
         if path is not None:
             Path(path).write_text(text, encoding="utf-8")
         return text
-
-
-def merge_snapshot(recorder: Recorder, snapshot: dict[str, object]) -> None:
-    """Fold a :meth:`CountersRecorder.snapshot` into any recorder.
-
-    :class:`CountersRecorder` merges exactly (see
-    :meth:`CountersRecorder.merge_snapshot`). Other sinks get a
-    best-effort replay: counters as single increments, events and spans
-    repeated by tally, and each histogram as its min and max samples plus
-    ``count - 2`` mean-valued samples — the replayed summary has the same
-    count/min/max and a total equal up to float rounding. Disabled
-    recorders are left untouched.
-    """
-    if not recorder.enabled:
-        return
-    if isinstance(recorder, CountersRecorder):
-        recorder.merge_snapshot(snapshot)
-        return
-    counters = snapshot.get("counters") or {}
-    for name, value in counters.items():
-        recorder.incr(name, float(value))
-    histograms = snapshot.get("histograms") or {}
-    for name, payload in histograms.items():
-        count = int(payload["count"])
-        if count <= 0:
-            continue
-        minimum = float(payload["min"])
-        maximum = float(payload["max"])
-        recorder.observe(name, minimum)
-        if count >= 2:
-            recorder.observe(name, maximum)
-        remaining = count - 2
-        if remaining > 0:
-            filler = (float(payload["total"]) - minimum - maximum) / remaining
-            for _ in range(remaining):
-                recorder.observe(name, filler)
-    events = snapshot.get("events") or {}
-    for name, count in events.items():
-        for _ in range(int(count)):
-            recorder.event(name)
-    spans = snapshot.get("spans") or {}
-    for name, count in spans.items():
-        for _ in range(int(count)):
-            with recorder.span(name):
-                pass

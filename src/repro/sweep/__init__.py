@@ -7,10 +7,10 @@ Layering (see DESIGN.md §4):
 * :class:`EvaluationService` wraps it in a content-keyed memo cache and
   an optional on-disk cache (:class:`~repro.sweep.cache.DiskCache`);
 * :class:`SweepRunner` evaluates whole grids — point-at-a-time
-  (``serial``, the oracle), through the batched kernels (``vector``,
-  the default), or across a worker cluster with a shared cache tier and
-  work-stealing (:mod:`repro.sweep.cluster`) — with bit-identical
-  results keyed by point label.
+  (``serial``, the oracle) or through the batched kernels (``vector``,
+  the default) — with bit-identical results keyed by point label.
+  Both run in the calling process: the paper's grids are hundreds of
+  points, which the batched kernels price in milliseconds.
 
 Everything above this package — experiments, the SSB cost model, the
 core advisor/optimizer — evaluates bandwidth through here.

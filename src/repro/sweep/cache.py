@@ -303,10 +303,12 @@ class DiskCache:
     def _shard_lock(self, prefix: str) -> Iterator[None]:
         """Exclusive advisory lock for one index shard's read-merge-write.
 
-        Shards are shared files: without the lock, two cluster workers
-        merging the same shard concurrently would each read the old
-        shard and the last writer would silently drop the other's new
-        entries (a lost update, surfacing as warm-run cache misses).
+        Shards are shared files: two ``repro run --cache-dir`` processes
+        (or a run and a ``repro serve``) may share one directory.
+        Without the lock, two writers merging the same shard
+        concurrently would each read the old shard and the last writer
+        would silently drop the other's new entries (a lost update,
+        surfacing as warm-run cache misses).
         ``flock`` is per-open-file, so threads and processes both
         serialize here; on platforms without ``fcntl`` the merge runs
         unlocked, degrading to the racy-but-atomic behavior.
@@ -396,10 +398,10 @@ class DiskCache:
         One block write plus one index-shard rewrite per distinct digest
         prefix — for a dense sweep axis that is two or three files
         instead of hundreds. Writes are tmp-then-replace atomic, so
-        concurrent readers (other worker processes) never see a torn
-        entry; index shards merge read-modify-write under a per-shard
-        advisory lock (:meth:`_shard_lock`), so concurrent writers
-        union their entries instead of losing the race.
+        concurrent readers (other processes sharing the directory) never
+        see a torn entry; index shards merge read-modify-write under a
+        per-shard advisory lock (:meth:`_shard_lock`), so concurrent
+        writers union their entries instead of losing the race.
         """
         if not digests:
             return

@@ -7,32 +7,24 @@ assembled by point *label* in grid order, and every point is evaluated
 against the same immutable inputs — so every backend is bit-identical
 to serial.
 
-Three backends:
+Two backends:
 
 * ``"serial"`` — evaluate point-at-a-time through
   :meth:`~repro.sweep.service.EvaluationService.evaluate`; the oracle
-  the others are tested against.
+  the other is tested against.
 * ``"vector"`` (default) — route the whole grid through
   :meth:`~repro.sweep.service.EvaluationService.evaluate_grid_columns`,
   which computes cache-missing eligible points in one batched NumPy
   pass (:mod:`repro.memsim.kernels`) and keeps results columnar. On the
   paper's grids (tens to hundreds of points) it is the fastest path;
-  a thread pool (the GIL serialises the arithmetic) or a process pool
-  (start-up and pickling) is slower than serial there.
-* ``"cluster"`` — a :mod:`repro.sweep.cluster` coordinator/worker
-  cluster: grid points are sharded by content hash across worker
-  processes (spawned locally, or remote ``repro worker`` peers), with a
-  content-addressed shared cache tier above each worker's local tiers,
-  work-stealing for stragglers, and heartbeat-timeout requeueing for
-  dead workers. The worker count comes from
-  :class:`~repro.sweep.cluster.ClusterOptions`. Rows are assembled by
-  global grid index.
+  a thread pool (the GIL serialises the arithmetic) or worker
+  processes (start-up and pickling) are slower than serial there.
 
 An unknown ``backend`` name raises
 :class:`~repro.errors.BackendError` naming the valid set. A point that
 raises is re-raised as :class:`~repro.errors.SweepError` naming the grid
-and the point label, with the original exception chained (the columnar
-backends raise its :class:`~repro.errors.GridPointError` subclass,
+and the point label, with the original exception chained (the vector
+backend raises its :class:`~repro.errors.GridPointError` subclass,
 which also carries the partial batch).
 """
 
@@ -49,7 +41,7 @@ from repro.sweep.service import EvaluationService, default_service
 from repro.workloads.grids import SweepGrid
 
 #: Recognised ``SweepRunner`` backends, in documentation order.
-BACKENDS = ("serial", "vector", "cluster")
+BACKENDS = ("serial", "vector")
 
 
 class SweepRunner:
@@ -98,7 +90,7 @@ class SweepRunner:
         Every point sees the same ``directory`` (default cold) — a sweep
         is a set of independent what-if evaluations, not a sequence, so
         no point's warm-up leaks into another. The result dict is in grid
-        order. The columnar backends materialize results (as lazy views)
+        order. The vector backend materializes results (as lazy views)
         only here at the API boundary; batch-native callers should use
         :meth:`run_columns` instead.
         """
@@ -116,14 +108,13 @@ class SweepRunner:
         """Evaluate every point into one column batch, in grid order.
 
         The batch-native counterpart of :meth:`run`: with the
-        ``"vector"`` and ``"cluster"`` backends no per-point result
-        object is materialized anywhere — the kernel's columns flow
-        through the service (and, on the cluster, across the wire as
-        column blocks) straight to the caller. The serial backend
-        columnarizes its results at the end, so every backend returns
-        equal batches (bit-identical floats).
+        ``"vector"`` backend no per-point result object is materialized
+        anywhere — the kernel's columns flow through the service
+        straight to the caller. The serial backend columnarizes its
+        results at the end, so both backends return equal batches
+        (bit-identical floats).
 
-        On the columnar backends a failing point raises
+        On the vector backend a failing point raises
         :class:`~repro.errors.GridPointError` naming the grid and point
         label and carrying the partial batch of every point completed
         before the failure.
@@ -142,7 +133,7 @@ class SweepRunner:
     ) -> dict[str, float]:
         """Total bandwidth per point in decimal GB/s, ``{label: GB/s}``.
 
-        On the columnar backends this reads the totals straight off the
+        On the vector backend this reads the totals straight off the
         column batch — the common consumer path (experiments, the SSB
         cost model) never materializes a result object.
         """
@@ -161,9 +152,9 @@ class SweepRunner:
         and :meth:`totals`.
 
         Returns the grid's labels and its results in grid order: a
-        column batch from the columnar backends, or the serial oracle's
+        column batch from the vector backend, or the serial oracle's
         own scalar results (kept as objects, so the oracle shares no
-        columnar code with the backends it checks).
+        columnar code with the backend it checks).
         """
         cfg = config if config is not None else paper_config()
         state = directory if directory is not None else DirectoryState.cold()
@@ -171,20 +162,6 @@ class SweepRunner:
         labels = [point.label for point in points]
         rec = self._recorder if self._recorder is not None else default_recorder()
         observing = rec.enabled
-
-        if self.backend == "cluster":
-            # Imported lazily: only cluster runs pay for the
-            # asyncio/multiprocessing machinery.
-            from repro.sweep import cluster
-
-            return cluster.run_grid_columns(
-                grid,
-                points,
-                config=cfg,
-                directory=state,
-                service=self.service,
-                recorder=rec,
-            )
 
         if self.backend == "vector":
             # GridPointError propagates as raised by the service: its

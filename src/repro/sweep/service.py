@@ -89,16 +89,6 @@ class EvaluationService:
         self._disk = disk_cache
         self.stats = CacheStats()
 
-    @property
-    def disk_cache(self) -> DiskCache | None:
-        """The backing :class:`DiskCache`, if any.
-
-        Exposed so the cluster coordinator can back its shared cache
-        tier with the same directory (the disk format is atomic-write,
-        so concurrent readers and writers are safe).
-        """
-        return self._disk
-
     def evaluate(
         self,
         config: MachineConfig,
@@ -160,49 +150,6 @@ class EvaluationService:
         if self._disk is not None and digest is not None:
             self._disk.put(digest, result)
         return self._deliver(result, streams, state)
-
-    def contains(
-        self,
-        config: MachineConfig,
-        streams: "list[StreamSpec] | tuple[StreamSpec, ...]",
-        directory: DirectoryState | None = None,
-    ) -> bool:
-        """Whether this request is already answerable from a local cache.
-
-        A silent peek: neither :attr:`stats` nor any recorder is touched,
-        so a cache *tier above this service* (the cluster backend's
-        shared cache) can decide which points to fetch remotely without
-        perturbing the hit/miss accounting the real lookups produce.
-        """
-        streams = tuple(streams)
-        key = request_key(config, streams, directory)
-        if self._memo is not None and self._memo.get(key) is not None:
-            return True
-        if self._disk is not None:
-            digest = request_digest(config, streams, key[2])
-            return self._disk.get_ref(digest) is not None
-        return False
-
-    def seed(
-        self,
-        config: MachineConfig,
-        streams: "list[StreamSpec] | tuple[StreamSpec, ...]",
-        columns: "ResultColumns",
-        row: int,
-        directory: DirectoryState | None = None,
-    ) -> None:
-        """Install row ``row`` of ``columns`` as this request's memo entry.
-
-        Used by the cluster backend to pre-load results another worker
-        computed: the subsequent :meth:`evaluate` /
-        :meth:`evaluate_grid_columns` lookup then counts a normal memo
-        hit, which is exactly how shared-tier accounting "carries over"
-        into ``sweep.cache.*``. Seeding itself is silent (no stats).
-        """
-        if self._memo is None:
-            return
-        key = request_key(config, tuple(streams), directory)
-        self._memo.put(key, (columns, row))
 
     def evaluate_grid_columns(
         self,

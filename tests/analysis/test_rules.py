@@ -380,7 +380,7 @@ class TestTransportRule:
     def test_out_of_scope_paths_not_flagged(self, tmp_path):
         scoped = SimlintConfig(
             root=tmp_path,
-            transport_paths=("repro/serve", "repro/sweep/cluster"),
+            transport_paths=("repro/serve",),
         )
         source = (
             "import asyncio\n"
@@ -392,10 +392,10 @@ class TestTransportRule:
         (outside / "driver.py").write_text(source)
         findings, _ = analyze_file(outside / "driver.py", scoped)
         assert findings == []
-        inside = tmp_path / "repro" / "sweep" / "cluster"
+        inside = tmp_path / "repro" / "serve"
         inside.mkdir(parents=True)
-        (inside / "protocol.py").write_text(source)
-        findings, _ = analyze_file(inside / "protocol.py", scoped)
+        (inside / "client.py").write_text(source)
+        findings, _ = analyze_file(inside / "client.py", scoped)
         assert [f.rule for f in findings] == ["SIM110"]
 
 

@@ -2,9 +2,14 @@
 
 import pytest
 
-from repro.errors import BackendError, SimulationError, SweepError
+from repro.errors import (
+    BackendError,
+    ConfigurationError,
+    SimulationError,
+    SweepError,
+)
 from repro.memsim import DirectoryState, MachineConfig, Op, StreamSpec, paper_config
-from repro.sweep import EvaluationService, SweepRunner
+from repro.sweep import BACKENDS, EvaluationService, SweepRunner
 from repro.workloads.grids import SweepGrid, SweepPoint
 
 
@@ -42,7 +47,18 @@ class TestBackendChoice:
     def test_removed_backend_rejected_naming_valid_set(self):
         with pytest.raises(BackendError) as excinfo:
             SweepRunner(backend="thread")
-        assert excinfo.value.valid == ("serial", "vector", "cluster")
+        assert excinfo.value.valid == ("serial", "vector")
+
+    def test_unknown_backend_raises_typed_error_naming_valid_set(self):
+        with pytest.raises(BackendError) as excinfo:
+            SweepRunner(EvaluationService(), backend="greenlet")
+        exc = excinfo.value
+        assert isinstance(exc, SweepError)
+        assert isinstance(exc, ConfigurationError)
+        assert exc.backend == "greenlet"
+        assert exc.valid == BACKENDS
+        for name in BACKENDS:
+            assert repr(name) in str(exc)
 
 
 class TestParallelism:
@@ -136,9 +152,7 @@ def poisoned_grid() -> SweepGrid:
 
 
 class TestPoisonedPoint:
-    @pytest.mark.parametrize(
-        "backend", ["serial", "cluster"], ids=["serial", "parallel"]
-    )
+    @pytest.mark.parametrize("backend", ["serial", "vector"])
     def test_error_names_grid_and_point(self, backend):
         runner = SweepRunner(EvaluationService(memoize=False), backend=backend)
         with pytest.raises(SweepError) as excinfo:

@@ -4,8 +4,7 @@
 beyond result equality these tests pin the operational contract: cache
 statistics and recorder counters account every point exactly as the
 serial path does, a grid-primed memo cache services later per-point
-calls, and failures name the grid and point label — inline, and after
-crossing the cluster wire.
+calls, and failures name the grid and point label.
 """
 
 import pytest
@@ -144,11 +143,8 @@ class TestObservability:
 
 
 class TestFailures:
-    @pytest.mark.parametrize(
-        "backend", ["vector", "cluster"], ids=["inline", "cluster"]
-    )
-    def test_error_names_grid_and_point(self, backend):
-        runner = SweepRunner(EvaluationService(memoize=False), backend=backend)
+    def test_error_names_grid_and_point(self):
+        runner = SweepRunner(EvaluationService(memoize=False), backend="vector")
         with pytest.raises(SweepError) as excinfo:
             runner.run(poisoned_grid())
         message = str(excinfo.value)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -46,11 +47,11 @@ class TestSelection:
         assert [path.name for path in selected] == list(SMOKE_BENCHES)
 
     def test_substring_and_stem_match_same_file(self):
-        by_sub = resolve_selection(["cluster"])
-        by_stem = resolve_selection(["bench_cluster_sweep"])
-        by_name = resolve_selection(["bench_cluster_sweep.py"])
+        by_sub = resolve_selection(["serving"])
+        by_stem = resolve_selection(["bench_serving"])
+        by_name = resolve_selection(["bench_serving.py"])
         assert by_sub == by_stem == by_name
-        assert [path.name for path in by_sub] == ["bench_cluster_sweep.py"]
+        assert [path.name for path in by_sub] == ["bench_serving.py"]
 
     def test_no_names_selects_whole_suite(self):
         everything = resolve_selection(None)
@@ -93,6 +94,13 @@ class TestSchema:
         assert json.loads(path.read_text()) == payload
 
 
+def _passed_count(stdout: str) -> int:
+    """The ``N passed`` tally from a pytest summary line."""
+    match = re.search(r"(\d+) passed", stdout)
+    assert match is not None, stdout
+    return int(match.group(1))
+
+
 def _run_bench_disabled(name: str) -> str:
     """Run one bench file once under ``--benchmark-disable``; its stdout."""
     root = Path(__file__).resolve().parents[1]
@@ -130,6 +138,20 @@ class TestBenchAssertsInTier1:
     def test_model_bench_passes_with_benchmarks_disabled(self, name, passed):
         """Benches built on ``BandwidthModel`` run in tier-1 too."""
         assert f"{passed} passed" in _run_bench_disabled(name)
+
+    @pytest.mark.parametrize("name,at_least", [
+        ("bench_vector_kernels.py", 4),
+        ("bench_vector_families.py", 5),
+        ("bench_columnar_results.py", 2),
+    ])
+    def test_kernel_bench_passes_with_benchmarks_disabled(self, name, at_least):
+        """The kernel benches' identity asserts hold in one-shot mode.
+
+        Their speedup gates skip on hosts with fewer than 4 cores and
+        run elsewhere, so the pass count is a floor, not an exact tally;
+        any failure already fails :func:`_run_bench_disabled`.
+        """
+        assert _passed_count(_run_bench_disabled(name)) >= at_least
 
 
 class TestSmokeRun:

@@ -1,8 +1,26 @@
 """Tests for the command-line interface."""
 
+import argparse
+
 import pytest
 
-from repro.cli import main
+from repro.cli import _build_parser, main
+from repro.sweep import BACKENDS, SweepRunner, set_default_service
+
+#: Every experiment priced by the analytic model through a sweep (fig14
+#: and table1 execute SSB queries instead).
+ANALYTIC_EXPERIMENTS = (
+    "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
+    "fig11", "fig12", "fig13", "daxmode", "bestpractices",
+)
+
+
+def _without_stats_line(out: str) -> str:
+    """``repro run`` output minus its ``evaluation cache:`` stats line."""
+    return "".join(
+        line for line in out.splitlines(keepends=True)
+        if not line.startswith("evaluation cache:")
+    )
 
 
 class TestList:
@@ -117,41 +135,64 @@ class TestParser:
             main(["fly"])
 
     @pytest.mark.parametrize(
-        "argv",
-        [["run", "fig3", "--jobs", "2"], ["bench", "--backend", "serial"]],
-        ids=["run-jobs", "bench-backend"],
+        "argv, complaint",
+        [
+            (["run", "fig3", "--jobs", "2"], "unrecognized arguments"),
+            (["bench", "--backend", "serial"], "unrecognized arguments"),
+            (["run", "fig3", "--backend", "cluster"], "invalid choice"),
+            (["run", "fig3", "--workers", "2"], "unrecognized arguments"),
+            (["run", "fig3", "--connect", "h:1"], "unrecognized arguments"),
+            (["worker"], "invalid choice"),
+        ],
+        ids=["run-jobs", "bench-backend", "run-backend-cluster",
+             "run-workers", "run-connect", "worker"],
     )
-    def test_removed_options_are_usage_errors(self, argv, capsys):
+    def test_removed_options_are_usage_errors(self, argv, complaint, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        assert complaint in capsys.readouterr().err
 
 
-class TestClusterCli:
+class TestBackendChoices:
+    def test_choices_match_the_library(self):
+        commands = next(
+            action for action in _build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        backend = next(
+            action for action in commands.choices["run"]._actions
+            if action.dest == "backend"
+        )
+        assert tuple(backend.choices) == BACKENDS
+        assert backend.default == SweepRunner().backend
+
     def test_unknown_backend_rejected_naming_choices(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["run", "fig4", "--backend", "greenlet"])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "greenlet" in err
-        assert "cluster" in err  # the valid set is spelled out
+        assert "serial" in err and "vector" in err  # the valid set
 
-    def test_cluster_flags_parse_and_run(self, capsys):
-        assert main(
-            ["run", "fig4", "--backend", "cluster", "--workers", "2"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "fig4" in out
+    @pytest.mark.parametrize("exp_id", ANALYTIC_EXPERIMENTS)
+    def test_serial_output_matches_default(self, exp_id, capsys):
+        """``--backend serial`` prints the same tables as the default.
 
-    def test_bad_connect_endpoint_rejected(self):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError, match="HOST:PORT"):
-            main(
-                ["run", "fig4", "--backend", "cluster",
-                 "--connect", "no-port-here"]
-            )
+        Each run gets a fresh default service, so neither reads the
+        other's cached results; only the cache-stats line may differ.
+        """
+        outputs = []
+        for backend_args in (["--backend", "serial"], []):
+            previous = set_default_service(None)
+            try:
+                assert main(["run", exp_id, *backend_args]) == 0
+            finally:
+                set_default_service(previous)
+            outputs.append(_without_stats_line(capsys.readouterr().out))
+        serial, default = outputs
+        assert exp_id in default
+        assert serial == default
 
 
 class TestHybrid:
